@@ -1,9 +1,11 @@
 // Memory-budgeted execution benchmark: the cost of spilling (docs/spill.md).
 //
-// Each engine runs the same query twice over the same dataset — once
-// unbudgeted (everything stays in memory) and once under a budget far below
-// the working set, so the run must cut over to sorted on-disk runs and merge
-// them back. Three numbers matter per engine:
+// Each threaded map/shuffle/reduce engine runs the same query twice over the
+// same dataset — once unbudgeted (everything stays in memory) and once under
+// a budget far below the working set, so the run must cut over to sorted
+// on-disk runs and merge them back. (The sequential oracle ignores the
+// budget and never spills, so it has no case here.) Three numbers matter per
+// engine:
 //
 //   wall ratio   budgeted wall / in-memory wall — the price of external
 //                aggregation. Spilling trades memory for sequential disk
@@ -89,8 +91,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Full size: enough distinct keys that every layer (sequential hybrid-hash,
-  // map-side tables, the shuffle) genuinely exceeds the budget; smoke reuses
+  // Full size: enough distinct keys that every layer (map-side tables, the
+  // shuffle) genuinely exceeds the budget; smoke reuses
   // the regression-test scale. The budget stays fixed as the dataset scales so
   // larger SYMPLE_BENCH_SCALE values spill harder, not not-at-all.
   GithubGenParams p;
@@ -120,10 +122,6 @@ int main(int argc, char** argv) {
       "budget=" + std::to_string(budget_bytes / 1024) + "KiB";
 
   const std::vector<EngineCase> engines = {
-      {"sequential",
-       [](const Dataset& d, const EngineOptions& o) {
-         return RunSequential<G1OnlyPushes>(d, o);
-       }},
       {"mapreduce",
        [](const Dataset& d, const EngineOptions& o) {
          return RunBaselineMapReduce<G1OnlyPushes>(d, o);

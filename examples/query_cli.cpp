@@ -228,7 +228,6 @@ int RunQuery(const Options& options, symple::Dataset data) {
     return RunSequential<Query>(data, opts);
   });
   PrintStats("sequential", seq.stats, false);
-  PrintSpill(seq.stats);
   if (options.engine == "all" || options.engine == "mapreduce") {
     const auto mr = run_engine("mapreduce", 2, [&](const EngineOptions& opts) {
       return RunBaselineMapReduce<Query>(data, opts);

@@ -3,8 +3,9 @@
 # fault-injection / wire-hardening / degradation / shuffle suites under
 # ASan+UBSan, and the threaded-engine / shuffle / spill / morsel suites under
 # TSan (filters live in CMakePresets.json) — then the smoke-mode
-# perf gate (bench_compare over two bench_smoke runs + checked-in fixtures)
-# and one --explain bottleneck report as a human-readable tail.
+# perf gate (bench_compare over two bench_smoke runs + checked-in fixtures),
+# the bench/e2e smoke, and one --explain bottleneck report as a
+# human-readable tail.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -77,6 +78,14 @@ fi
 # modeled map makespan over static per-segment dispatch and byte-identical
 # outputs across morsel granularities, exiting nonzero otherwise.
 (cd "$gate_dir" && ../../build/bench/bench_morsel)
+
+# --- end-to-end benchmark smoke ------------------------------------------------
+# bench/e2e is its own CMake project: its ctest smoke runs all five engines
+# against the sequential oracle on the benchmark's four workload shapes,
+# including the memory-budgeted one, which no tier-1 test builds.
+cmake -S bench/e2e -B build/e2e
+cmake --build build/e2e -j "${CI_JOBS:-$(nproc)}"
+ctest --test-dir build/e2e
 
 # --- bottleneck report -------------------------------------------------------
 # One skewed shuffle run with --explain so every CI log carries a current

@@ -1,17 +1,25 @@
-// The groupby-aggregate engines.
+// The groupby-aggregate engines, mirroring Section 6.2's configurations.
 //
-// Three executions of the same query, mirroring Section 6.2's configurations:
+//   RunSequential  — the oracle: one thread, one in-memory group table,
+//                    concrete UDA ("Sequential").
 //
-//   RunSequential         — single thread, concrete UDA ("Sequential").
-//   RunBaselineMapReduce  — hand-optimized MapReduce baseline: groupby in the
-//                           mappers (emitting only the UDA-used fields), UDA
-//                           executed concretely in the reducers. All grouped
-//                           records cross the shuffle.
-//   RunSymple             — the SYMPLE engine: groupby *and* symbolic UDA in
-//                           the mappers; only symbolic summaries cross the
-//                           shuffle; reducers compose them in order.
+// Every other engine is one map/shuffle/reduce pipeline (internal::RunPipeline)
+// varied along two axes:
 //
-// All three run the *same* user Update function: concretely when no
+//   map body  — rows (RowsBody): the hand-optimized MapReduce baseline,
+//               groupby in the mappers emitting only the UDA-used fields,
+//               UDA executed concretely in the reducers; all grouped records
+//               cross the shuffle.
+//             — summaries (SummariesBody): SYMPLE, groupby *and* symbolic UDA
+//               in the mappers; only symbolic summaries cross the shuffle;
+//               reducers compose them in order.
+//   executor  — threads (ThreadExecutor): morsel-driven map workers in this
+//               process (RunBaselineMapReduce, RunSymple).
+//             — fork (ForkExecutor, process_engine.h): map workers are forked
+//               processes streaming packets over pipes (RunBaselineForked,
+//               RunSympleForked).
+//
+// All of them run the *same* user Update function: concretely when no
 // ExecContext is installed, symbolically inside SymbolicAggregator.
 //
 // A query is a stateless traits struct:
@@ -46,9 +54,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -156,14 +164,16 @@ struct EngineOptions {
   int worker_timeout_ms = 30000;
   int worker_retry_limit = 2;
   int worker_retry_backoff_ms = 5;
-  // Memory-budgeted execution (docs/spill.md). When the run's tracked
-  // allocation — group-table arenas + bucket indexes + buffered shuffle
-  // packets — crosses memory_budget_bytes, map tasks flush their group
-  // tables into the shuffle and the shuffle moves sorted packet runs out to
-  // disk under spill_dir (TMPDIR / /tmp when empty), merging them back
-  // streaming at reduce time. Output stays byte-identical to the unbudgeted
-  // run. 0 = unlimited: memory is still tracked (peak_tracked_bytes) but
-  // nothing ever spills.
+  // Memory-budgeted execution of the map/shuffle/reduce engines
+  // (docs/spill.md). When the run's tracked allocation — group-table arenas
+  // + bucket indexes + buffered shuffle packets — crosses
+  // memory_budget_bytes, map tasks flush their group tables into the shuffle
+  // and the shuffle moves sorted packet runs out to disk under spill_dir
+  // (TMPDIR / /tmp when empty), merging them back streaming at reduce time.
+  // Output stays byte-identical to the unbudgeted run. 0 = unlimited: memory
+  // is still tracked (peak_tracked_bytes) but nothing ever spills.
+  // RunSequential ignores the limit (it only tracks its peak); a bounded
+  // single-thread run is RunBaselineMapReduce at map_slots = 1.
   uint64_t memory_budget_bytes = 0;
   std::string spill_dir;
   // Optional observability sink: when set, the engine reports one observation
@@ -375,21 +385,20 @@ inline size_t ResolveGroupCapacityHint(size_t option_hint, uint64_t records_hint
 // the hint so the initial reservation is at most ~1/8 of the budget; the
 // table still grows (and the growth is released on Clear) if the groups
 // really materialize.
-inline size_t ClampHintToBudget(size_t hint, const MemoryBudget& budget,
+inline size_t ClampHintToBudget(size_t hint, const MemoryBudget* budget,
                                 size_t bytes_per_group) {
-  if (budget.limit_bytes() == 0) {
+  if (budget == nullptr || budget->limit_bytes() == 0) {
     return hint;
   }
   const size_t bpg = std::max<size_t>(bytes_per_group, 1);
-  uint64_t cap = std::max<uint64_t>(16, budget.limit_bytes() / 8 / bpg);
+  uint64_t cap = std::max<uint64_t>(16, budget->limit_bytes() / 8 / bpg);
   // A table constructed mid-run — a late map task while earlier tasks already
   // sit at the spill watermark — must not land its whole reservation in one
   // charge the spiller never saw coming: shrink the hint to half of whatever
   // headroom is left below the watermark, down to a minimal table that grows
   // (in budget-capped chunks) only if its groups really materialize.
-  const uint64_t watermark =
-      budget.limit_bytes() - budget.limit_bytes() / 4;
-  const uint64_t tracked = budget.tracked_bytes();
+  const uint64_t watermark = budget->limit_bytes() - budget->limit_bytes() / 4;
+  const uint64_t tracked = budget->tracked_bytes();
   const uint64_t headroom = tracked < watermark ? watermark - tracked : 0;
   cap = std::min(cap, std::max<uint64_t>(16, headroom / 2 / bpg));
   return static_cast<size_t>(std::min<uint64_t>(hint, cap));
@@ -1007,199 +1016,49 @@ template <typename Query>
 RunResult<Query> RunSequential(const Dataset& data, const EngineOptions& options = {}) {
   using Key = typename Query::Key;
   using State = typename Query::State;
-  using Event = typename Query::Event;
 
   obs::RunObserver* observer = options.observer;
   const double obs_start = observer != nullptr ? observer->NowUs() : 0;
   const internal::ResourceScope resources;
   const auto t0 = std::chrono::steady_clock::now();
+  const double cpu0 = internal::ThreadCpuMs();
   RunResult<Query> result;
   result.stats.input_bytes = data.TotalBytes();
 
-  // One global flat group table; the record-count hint for auto-sizing is the
-  // byte volume over a conservative record width (counting records up front
-  // would double-scan the input). The budget (docs/spill.md) tracks the
-  // table's arena + index bytes; with no limit configured it is track-only
-  // and the original single-pass loop below runs unchanged.
-  MemoryBudget budget(options.memory_budget_bytes);
-  FlatGroupMap<Key, State> states(internal::ClampHintToBudget(
-      internal::ResolveGroupCapacityHint(options.group_capacity_hint,
-                                         data.TotalBytes() / 64),
-      budget, sizeof(typename FlatGroupMap<Key, State>::Node) + 8));
+  // One global in-memory flat group table; the record-count hint for
+  // auto-sizing is the byte volume over a conservative record width
+  // (counting records up front would double-scan the input). The oracle
+  // never spills: memory_budget_bytes is ignored and the budget only tracks
+  // the table's arena + index bytes for peak_tracked_bytes.
+  MemoryBudget budget(0);
+  FlatGroupMap<Key, State> states(internal::ResolveGroupCapacityHint(
+      options.group_capacity_hint, data.TotalBytes() / 64));
   states.SetMemoryBudget(&budget);
-  if (options.memory_budget_bytes == 0) {
-    for (const std::string& segment : data.segments) {
-      LineCursor cursor(segment);
-      while (const auto line = cursor.Next()) {
-        ++result.stats.input_records;
-        auto rec = Query::Parse(*line);
-        if (!rec.has_value()) {
-          continue;
-        }
-        ++result.stats.parsed_records;
-        Query::Update(*states.GetOrEmplace(rec->first).first, rec->second);
+  for (const std::string& segment : data.segments) {
+    LineCursor cursor(segment);
+    while (const auto line = cursor.Next()) {
+      ++result.stats.input_records;
+      auto rec = Query::Parse(*line);
+      if (!rec.has_value()) {
+        continue;
       }
-    }
-    // First-seen table order; outputs are keyed (std::map), so the emitted
-    // map is key-ordered either way — see docs/group_map.md.
-    for (const auto& entry : states) {
-      result.outputs.emplace(entry.key, Query::Result(entry.value, entry.key));
-    }
-    result.stats.groups = states.size();
-  } else {
-    // Hybrid-hash external aggregation (docs/spill.md). When the budget
-    // trips, the groups already in the table are frozen in place — they
-    // keep aggregating — while records for unseen keys divert, in row form,
-    // to one of kSeqPartitions spill files; each file then becomes a pass
-    // of its own against an empty table. A diverted key is by construction
-    // never in the table, so passes retire disjoint key sets, every pass
-    // retires at least one group (termination), and each group still sees
-    // its records in input order — the merged output is byte-identical to
-    // the in-memory run. Partition routing shifts 3 fresh hash bits per
-    // recursion depth so a partition's keys re-split instead of re-colliding.
-    constexpr size_t kSeqPartitions = 8;
-    constexpr int kMaxDepth = 20;  // 3 bits per level in a 64-bit hash
-    internal::SpillFaultInjector faults(internal::SpillFaultFromEnv());
-    std::unique_ptr<internal::TempDir> spill_dir;
-    uint64_t file_seq = 0;
-    struct DivertPart {
-      std::unique_ptr<internal::RowSpillFile> file;
-      // Rows the disk refused after the in-place retry: processed as part
-      // of this partition's pass straight from memory, so a half-spilled
-      // key's rows never split across passes.
-      std::vector<uint8_t> overflow;
-    };
-    struct PassWork {
-      std::unique_ptr<internal::RowSpillFile> file;
-      std::vector<uint8_t> overflow;
-      int depth = 0;
-    };
-    std::vector<PassWork> work;
-    std::vector<DivertPart> divert;
-    bool disk_broken = false;  // spill dir/file creation failed; stay in memory
-    bool frozen = false;
-    int depth = 0;
-    uint64_t since_check = 0;
-    BinaryWriter row;
-
-    const auto process_row = [&](const Key& key, const Event& ev) {
-      if (frozen) {
-        if (State* s = states.Find(key)) {
-          Query::Update(*s, ev);
-          return;
-        }
-        const size_t part = static_cast<size_t>(
-            (HashGroupKey(key) >> (3 * depth)) & (kSeqPartitions - 1));
-        row.Clear();
-        ValueCodec<Key>::Write(row, key);
-        Query::SerializeEvent(ev, row);
-        divert[part].file->AppendRow(row.buffer().data(), row.size(),
-                                     &divert[part].overflow);
-        return;
-      }
-      Query::Update(*states.GetOrEmplace(key).first, ev);
-      if (++since_check >= 64) {
-        since_check = 0;
-        if (budget.over() && !disk_broken && depth < kMaxDepth) {
-          try {
-            if (spill_dir == nullptr) {
-              spill_dir = std::make_unique<internal::TempDir>(options.spill_dir);
-            }
-            std::vector<DivertPart> parts(kSeqPartitions);
-            for (auto& p : parts) {
-              p.file = std::make_unique<internal::RowSpillFile>(
-                  spill_dir->path(),
-                  "rows-" + std::to_string(file_seq++) + ".spill", &faults);
-            }
-            divert = std::move(parts);
-            frozen = true;
-          } catch (const SympleError&) {
-            // No spill location at all: finish in memory, over budget — the
-            // fault-injection contract is a successful run, not a bounded one.
-            disk_broken = true;
-            divert.clear();
-          }
-        }
-      }
-    };
-    const auto finish_pass = [&] {
-      for (auto& part : divert) {
-        part.file->Finish(&part.overflow);
-        if (part.file->has_blocks() || !part.overflow.empty()) {
-          part.file->CloseFd();
-          if (part.file->has_blocks()) {
-            result.stats.spill_runs += 1;
-            result.stats.spill_bytes += part.file->bytes_written();
-          }
-          work.push_back(PassWork{std::move(part.file), std::move(part.overflow),
-                                  depth + 1});
-        }
-      }
-      divert.clear();
-      frozen = false;
-      since_check = 0;
-      for (const auto& entry : states) {
-        result.outputs.emplace(entry.key, Query::Result(entry.value, entry.key));
-      }
-      result.stats.groups += states.size();
-      states.Clear();
-    };
-
-    // Pass 0: the raw dataset.
-    for (const std::string& segment : data.segments) {
-      LineCursor cursor(segment);
-      while (const auto line = cursor.Next()) {
-        ++result.stats.input_records;
-        auto rec = Query::Parse(*line);
-        if (!rec.has_value()) {
-          continue;
-        }
-        ++result.stats.parsed_records;
-        process_row(rec->first, rec->second);
-      }
-    }
-    finish_pass();
-
-    // Recursive passes over diverted rows (depth-first; order is irrelevant
-    // because pass key sets are disjoint and outputs are keyed). Rows were
-    // appended in input order — disk blocks first, then any overflow — so
-    // replaying file-then-overflow preserves each group's update order.
-    // Record counters are NOT bumped here: these rows were counted in pass 0.
-    while (!work.empty()) {
-      PassWork item = std::move(work.back());
-      work.pop_back();
-      depth = item.depth;
-      if (item.file->has_blocks()) {
-        internal::SpillFileReader reader(item.file->path());
-        uint8_t type = 0;
-        std::vector<uint8_t> body;
-        while (reader.NextBlock(&type, &body)) {
-          if (type != internal::kSpillBlockRows) {
-            throw SympleWireError("unexpected spill block type in row file");
-          }
-          BinaryReader r(body.data(), body.size());
-          while (!r.AtEnd()) {
-            const Key key = ValueCodec<Key>::Read(r);
-            const Event ev = Query::DeserializeEvent(r);
-            process_row(key, ev);
-          }
-        }
-      }
-      BinaryReader r(item.overflow.data(), item.overflow.size());
-      while (!r.AtEnd()) {
-        const Key key = ValueCodec<Key>::Read(r);
-        const Event ev = Query::DeserializeEvent(r);
-        process_row(key, ev);
-      }
-      finish_pass();
-      // item.file's TempFile unlinks here, as soon as the pass retires.
+      ++result.stats.parsed_records;
+      Query::Update(*states.GetOrEmplace(rec->first).first, rec->second);
     }
   }
+  // First-seen table order; outputs are keyed (std::map), so the emitted
+  // map is key-ordered either way — see docs/group_map.md.
+  for (const auto& entry : states) {
+    result.outputs.emplace(entry.key, Query::Result(entry.value, entry.key));
+  }
+  result.stats.groups = states.size();
   result.stats.peak_tracked_bytes = budget.peak_bytes();
   result.stats.group_map += states.stats();
+  // Thread CPU, not wall: time the scan spent blocked or descheduled is not
+  // map work (the Figure 7 CPU metric).
+  result.stats.map_cpu_ms = internal::ThreadCpuMs() - cpu0;
   result.stats.total_wall_ms = internal::MsSince(t0);
   result.stats.map_wall_ms = result.stats.total_wall_ms;
-  result.stats.map_cpu_ms = result.stats.total_wall_ms;
   resources.Fold(&result.stats);
   if (observer != nullptr) {
     // The whole scan is one logical map task (mapper 0, no shuffle/reduce).
@@ -1219,8 +1078,8 @@ RunResult<Query> RunSequential(const Dataset& data, const EngineOptions& options
 
 namespace internal {
 
-// Runs `map_task(mapper_id)` for every segment on `slots` workers, collecting
-// packets and per-task stats. MapTask: (mapper_id) -> pair<packets, TaskStats>.
+// Counters one map body invocation fills; RunMapPhase folds them per segment
+// into EngineStats and the segment's MapTaskObs.
 struct TaskStats {
   double cpu_ms = 0;
   uint64_t records = 0;  // input records scanned
@@ -1327,13 +1186,15 @@ inline void AppendSegmentMorsels(std::string_view seg, uint32_t segment_id,
   }
 }
 
-// The morsel-driven map phase. MorselFn:
-//   (segment_id, chunk, first_record, TaskStats*) -> vector<ShufflePacket>
-// and MorselDegradeFn (nullable std::function):
-//   (segment_id, chunk, first_record, SympleError) -> vector<ShufflePacket>
+// The morsel-driven map phase over `segment_ids` — every segment for the
+// thread executor, a failed worker lineage's pending segments for the fork
+// executor's in-process fallback. `body` is a map body (RowsBody or
+// SummariesBody); each Map call gets the run's `budget` and a sink into
+// `shuffle`, so a budgeted body can flush its table mid-morsel
+// (docs/spill.md).
 //
 // Segments are chunked into record-aligned morsels seeded round-robin into
-// per-worker stealing deques (segment s's morsels on worker s % slots, in
+// per-worker stealing deques (segment s's morsels on worker s % workers, in
 // order, so the common case processes each segment contiguously and
 // front-to-back); an idle worker steals from the back of a loaded peer, so
 // one giant segment no longer strands the other cores. Each completed
@@ -1342,30 +1203,28 @@ inline void AppendSegmentMorsels(std::string_view seg, uint32_t segment_id,
 // post-barrier sort is a cheap run merge.
 //
 // Exception safety (the ThreadPool "tasks must not throw" contract): a
-// SympleError escaping the map body — e.g. a throwing user Parse — is
-// caught per morsel. When `degrade` is set (SYMPLE engines) the morsel is
-// re-emitted as DeferredConcrete markers and the run continues; otherwise
-// (or when degrading itself fails) the first error is captured and rethrown
-// as a typed SympleIoError from the coordinator after quiesce, mirroring
-// the reduce stage — never std::terminate.
-template <typename Key, typename MorselFn>
-void RunMapPhase(const std::vector<std::string>& segments, size_t slots,
-                 size_t morsel_records, MorselFn map_morsel,
-                 const std::function<std::vector<ShufflePacket<Key>>(
-                     uint32_t, std::string_view, uint64_t, const SympleError&)>&
-                     degrade,
-                 ShuffleBuffer<Key>* shuffle, EngineStats* stats,
-                 obs::RunObserver* observer = nullptr) {
-  const size_t num_segments = segments.size();
-  const size_t workers = slots == 0 ? 1 : slots;
+// SympleError escaping Map — e.g. a throwing user Parse — is caught per
+// morsel and handed to body.Defer when Body::kDefers; otherwise (or when
+// Defer fails too) the first error is rethrown as a typed SympleIoError from
+// the coordinator after quiesce, mirroring the reduce stage.
+template <typename Body>
+void RunMapPhase(const std::vector<std::string>& segments,
+                 const std::vector<uint32_t>& segment_ids, size_t slots,
+                 size_t morsel_records, const Body& body, MemoryBudget* budget,
+                 ShuffleBuffer<typename Body::Key>* shuffle, EngineStats* stats,
+                 obs::RunObserver* observer) {
+  using Packet = ShufflePacket<typename Body::Key>;
   std::vector<Morsel> morsels;
-  morsels.reserve(num_segments);
-  for (size_t s = 0; s < num_segments; ++s) {
-    AppendSegmentMorsels(segments[s], static_cast<uint32_t>(s), morsel_records,
-                         &morsels);
+  morsels.reserve(segment_ids.size());
+  for (const uint32_t s : segment_ids) {
+    AppendSegmentMorsels(segments[s], s, morsel_records, &morsels);
   }
   stats->morsel_target_records =
       morsel_records == std::numeric_limits<size_t>::max() ? 0 : morsel_records;
+  const size_t workers = std::max<size_t>(1, std::min(slots, morsels.size()));
+  const PacketSink<typename Body::Key> sink = [shuffle](std::vector<Packet>&& batch) {
+    return shuffle->AddBatch(std::move(batch));
+  };
 
   // Per-segment fold state: many morsels, one MapTaskObs per segment — the
   // timeline keeps its per-segment task semantics, with morsel counts and
@@ -1377,7 +1236,7 @@ void RunMapPhase(const std::vector<std::string>& segments, size_t slots,
     uint64_t stolen = 0;
     obs::HistogramSnapshot queue_wait_us;
   };
-  std::vector<SegmentAgg> seg_aggs(num_segments);
+  std::vector<SegmentAgg> seg_aggs(segments.size());
   StealingIndexQueues queues(workers);
   for (size_t i = 0; i < morsels.size(); ++i) {
     queues.Push(morsels[i].segment % workers, i);
@@ -1388,8 +1247,8 @@ void RunMapPhase(const std::vector<std::string>& segments, size_t slots,
   {
     ThreadPool pool(workers);
     for (size_t w = 0; w < workers; ++w) {
-      pool.Submit([w, &queues, &morsels, &segments, &seg_aggs, &map_morsel,
-                   &degrade, shuffle, observer, obs_map_start, &map_err_mu,
+      pool.Submit([w, &queues, &morsels, &segments, &seg_aggs, &body, budget,
+                   &sink, shuffle, observer, obs_map_start, &map_err_mu,
                    &map_error] {
         size_t idx = 0;
         bool stolen = false;
@@ -1405,20 +1264,21 @@ void RunMapPhase(const std::vector<std::string>& segments, size_t slots,
             mts.start_us = pop_us;
           }
           const double cpu0 = ThreadCpuMs();
-          std::vector<ShufflePacket<Key>> packets;
+          std::vector<Packet> packets;
           try {
-            packets = map_morsel(m.segment, chunk, m.first_record, &mts);
+            packets = body.Map(chunk, m.segment, m.first_record, &mts, budget, sink);
           } catch (const SympleError& e) {
-            bool degraded = false;
-            if (degrade != nullptr) {
+            bool deferred = false;
+            if constexpr (Body::kDefers) {
               try {
-                packets = degrade(m.segment, chunk, m.first_record, e);
-                degraded = true;
+                packets = body.Defer(chunk, m.segment, m.first_record,
+                                     ClassifyDegradeError(e), e.what());
+                deferred = true;
               } catch (const SympleError&) {
                 // fall through to the captured original error
               }
             }
-            if (!degraded) {
+            if (!deferred) {
               std::lock_guard<std::mutex> lock(map_err_mu);
               if (map_error.empty()) {
                 map_error = e.what();
@@ -1473,7 +1333,7 @@ void RunMapPhase(const std::vector<std::string>& segments, size_t slots,
   }
   stats->map_morsels += morsels.size();
   stats->morsel_steals += queues.steals();
-  for (size_t m = 0; m < num_segments; ++m) {
+  for (const uint32_t m : segment_ids) {
     SegmentAgg& agg = seg_aggs[m];
     const TaskStats& ts = agg.ts;
     stats->map_cpu_ms += ts.cpu_ms;
@@ -1485,7 +1345,7 @@ void RunMapPhase(const std::vector<std::string>& segments, size_t slots,
     stats->group_map += ts.group_map;
     if (observer != nullptr) {
       obs::MapTaskObs t;
-      t.mapper_id = static_cast<uint32_t>(m);
+      t.mapper_id = m;
       t.start_us = ts.start_us;
       t.end_us = ts.end_us;
       t.cpu_ms = ts.cpu_ms;
@@ -1737,12 +1597,34 @@ void RunShuffleAndReduce(ShuffleBuffer<Key>&& shuffle, size_t slots,
   }
 }
 
+// A map task's group table, set up the same way by both map bodies: sized
+// from the capacity hint over the chunk's record-count hint, clamped under a
+// budget so the up-front reservation cannot eat it (ClampHintToBudget), and
+// charged to the run's budget.
+template <typename Key, typename Value>
+struct MapTaskTable {
+  MapTaskTable(std::string_view chunk, size_t capacity_hint, MemoryBudget* budget)
+      : groups(ClampHintToBudget(
+            ResolveGroupCapacityHint(capacity_hint, chunk.size() / 64), budget,
+            sizeof(typename FlatGroupMap<Key, Value>::Node) + 8)) {
+    groups.SetMemoryBudget(budget);
+  }
+
+  // Whether the task flushes its table mid-segment: only when a limit can
+  // trip and a sink exists to flush into.
+  static bool Budgeted(const MemoryBudget* budget, const PacketSink<Key>& sink) {
+    return budget != nullptr && budget->limit_bytes() > 0 && sink != nullptr;
+  }
+
+  FlatGroupMap<Key, Value> groups;
+};
+
 // One baseline map task: parse + groupby one segment — or one record-aligned
 // morsel of it (docs/scheduling.md): `segment` is the chunk to scan and
 // `first_record` the chunk's first global record id within its segment, so
 // packet record ids stay globally ordered and morsels compose at the reducer
 // like whole segments. Emits textual per-record rows batched per
-// (mapper, key). Shared by the threaded and the forked-process engines.
+// (mapper, key): RowsBody's map, in threads and in forked workers alike.
 // Packets are emitted in the group table's first-seen order (deterministic;
 // docs/group_map.md), and the rows inside a group buffer are in record order.
 //
@@ -1764,16 +1646,9 @@ std::vector<ShufflePacket<typename Query::Key>> BaselineMapSegment(
     uint64_t first_record = 0;
     uint64_t count = 0;
   };
-  size_t hint = ResolveGroupCapacityHint(capacity_hint, segment.size() / 64);
-  if (budget != nullptr) {
-    hint = ClampHintToBudget(
-        hint, *budget,
-        sizeof(typename FlatGroupMap<Key, GroupBuffer>::Node) + 8);
-  }
-  FlatGroupMap<Key, GroupBuffer> groups(hint);
-  groups.SetMemoryBudget(budget);
-  const bool budgeted =
-      budget != nullptr && budget->limit_bytes() > 0 && sink != nullptr;
+  MapTaskTable<Key, GroupBuffer> table(segment, capacity_hint, budget);
+  FlatGroupMap<Key, GroupBuffer>& groups = table.groups;
+  const bool budgeted = table.Budgeted(budget, sink);
 
   // Row bytes live in per-group BinaryWriters the arena cannot see; they are
   // charged in 64-record strides and released when a flush clears the table.
@@ -1909,16 +1784,9 @@ std::vector<ShufflePacket<typename Query::Key>> SympleMapSegment(
     std::string message;
     uint64_t start_record;
   };
-  size_t hint = ResolveGroupCapacityHint(capacity_hint, segment.size() / 64);
-  if (budget != nullptr) {
-    hint = ClampHintToBudget(
-        hint, *budget,
-        sizeof(typename FlatGroupMap<Key, GroupAgg>::Node) + 8);
-  }
-  FlatGroupMap<Key, GroupAgg> groups(hint);
-  groups.SetMemoryBudget(budget);
-  const bool budgeted =
-      budget != nullptr && budget->limit_bytes() > 0 && sink != nullptr;
+  MapTaskTable<Key, GroupAgg> table(segment, capacity_hint, budget);
+  FlatGroupMap<Key, GroupAgg>& groups = table.groups;
+  const bool budgeted = table.Budgeted(budget, sink);
   std::map<Key, SideDegrade> degraded;
   uint64_t since_check = 0;
 
@@ -2099,7 +1967,7 @@ uint64_t ReplaySegmentForKey(const Dataset& data, uint32_t segment_id,
 // Reduces one key's ordered packet run, degrading per packet: a deferred
 // marker, a malformed blob, or a summary that fails validation/application
 // replays that segment concretely from the prefix state instead of aborting
-// the query. Shared by RunSymple and RunSympleForked.
+// the query: SummariesBody's reduce.
 template <typename Query>
 void SympleReduceKey(const Dataset& data, ReduceMode mode,
                      const typename Query::Key& key,
@@ -2221,10 +2089,7 @@ void SympleReduceKey(const Dataset& data, ReduceMode mode,
 // Expands one raw input segment — or one record-aligned morsel of it, with
 // `start_record` the chunk's first global record id — into per-key
 // DeferredConcrete packets: one marker per distinct key, ordered at that
-// key's first record. Used by the forked engines when a worker's frames fail
-// validation (the pipe content is untrusted, so the whole pending segment
-// degrades to concrete replay) and by the morsel scheduler when a SympleError
-// escapes a SYMPLE map body (docs/scheduling.md).
+// key's first record (SummariesBody::Defer).
 template <typename Query>
 std::vector<ShufflePacket<typename Query::Key>> DeferSegmentPackets(
     std::string_view segment, uint32_t segment_id, DegradeReason reason,
@@ -2260,173 +2125,173 @@ std::vector<ShufflePacket<typename Query::Key>> DeferSegmentPackets(
   return out;
 }
 
-}  // namespace internal
+// --- The map/shuffle/reduce pipeline ------------------------------------------
 
-// --- Hand-optimized MapReduce baseline ------------------------------------------
-
+// Map body for the hand-optimized MapReduce baseline: parse + groupby in one
+// streaming pass, serializing each record's (key, projected fields) row
+// directly — Hadoop ships one KV record per event, so each row carries the
+// key again and shuffle accounting reflects per-record cost. The reducer
+// deserializes the ordered rows and runs the UDA concretely. Rows carry no
+// symbolic state that could fail, so there is no defer path: a map error
+// fails the run, a corrupt forked stream is retried.
 template <typename Query>
-RunResult<Query> RunBaselineMapReduce(const Dataset& data,
-                                      const EngineOptions& options = {}) {
+struct RowsBody {
   using Key = typename Query::Key;
-  using Event = typename Query::Event;
-  using State = typename Query::State;
-  using Packet = internal::ShufflePacket<Key>;
+  using Packet = ShufflePacket<Key>;
+  static constexpr bool kDefers = false;
 
-  const internal::ResourceScope resources;
+  const Dataset& data;
+  const EngineOptions& options;
+  size_t seg_hint;
+
+  std::vector<Packet> Map(std::string_view chunk, uint32_t segment_id,
+                          uint64_t first_record, TaskStats* ts, MemoryBudget* budget,
+                          const PacketSink<Key>& sink) const {
+    return BaselineMapSegment<Query>(chunk, segment_id, first_record, ts, seg_hint,
+                                     budget, sink);
+  }
+
+  void Reduce(const Key& /*key*/, const Packet* first, const Packet* last,
+              typename Query::State& state, DegradeAccounting* /*acct*/) const {
+    for (const Packet* p = first; p != last; ++p) {
+      BinaryReader r(p->blob.data(), p->blob.size());
+      const uint64_t n = r.ReadVarUint();
+      for (uint64_t i = 0; i < n; ++i) {
+        TextKeyCodec<Key>::Skip(r);  // per-record textual key (Hadoop row)
+        Query::Update(state, Query::DeserializeEvent(r));
+      }
+    }
+  }
+};
+
+// Map body for SYMPLE: groupby + symbolic UDA in one streaming pass — each
+// parsed record feeds straight into its group's symbolic aggregator; one
+// packet per (mapper, key) holds that mapper's ordered symbolic summaries for
+// the key. The reducer combines them in (mapper_id, record_id) order, folding
+// onto the concrete initial state or by associative tree composition
+// (Section 3.6); deferred or invalid segments replay concretely from the
+// prefix state (docs/degradation.md).
+template <typename Query>
+struct SummariesBody {
+  using Key = typename Query::Key;
+  using Packet = ShufflePacket<Key>;
+  static constexpr bool kDefers = true;
+
+  const Dataset& data;
+  const EngineOptions& options;
+  size_t seg_hint;
+
+  std::vector<Packet> Map(std::string_view chunk, uint32_t segment_id,
+                          uint64_t first_record, TaskStats* ts, MemoryBudget* budget,
+                          const PacketSink<Key>& sink) const {
+    return SympleMapSegment<Query>(chunk, segment_id, first_record, options.aggregator,
+                                   options.budgets, ts, seg_hint, budget, sink);
+  }
+
+  // Replacement packets for a chunk whose map output is lost — a SympleError
+  // escaped Map (docs/scheduling.md), or a forked worker's stream failed
+  // validation and is untrusted: one DeferredConcrete marker per key, which
+  // the reducer replays concretely and accounts then, like every marker.
+  std::vector<Packet> Defer(std::string_view chunk, uint32_t segment_id,
+                            uint64_t first_record, DegradeReason reason,
+                            std::string_view message) const {
+    return DeferSegmentPackets<Query>(chunk, segment_id, reason, message, first_record);
+  }
+
+  void Reduce(const Key& key, const Packet* first, const Packet* last,
+              typename Query::State& state, DegradeAccounting* acct) const {
+    SympleReduceKey<Query>(data, options.reduce_mode, key, first, last, state, acct);
+  }
+};
+
+// Executor running the map phase on map_slots threads of this process.
+struct ThreadExecutor {
+  template <typename Body>
+  static void RunMap(const Dataset& data, const EngineOptions& options,
+                     const Body& body, MemoryBudget* budget,
+                     ShuffleBuffer<typename Body::Key>* shuffle, EngineStats* stats) {
+    std::vector<uint32_t> all(data.segment_count());
+    std::iota(all.begin(), all.end(), 0u);
+    RunMapPhase(data.segments, all, options.map_slots,
+                ResolveMorselRecords(options.morsel_records, stats->input_records,
+                                     options.map_slots),
+                body, budget, shuffle, stats, options.observer);
+  }
+};
+
+// The one map/shuffle/reduce run behind RunBaselineMapReduce, RunSymple,
+// RunBaselineForked and RunSympleForked: Body picks what the mappers emit
+// and how a key's packets reduce, Executor where the mappers run.
+//
+// Memory-budgeted execution (docs/spill.md): every tracked byte — map tables,
+// buffered rows, buffered shuffle packets — charges one budget; crossing it
+// flushes map tables into the shuffle and spills the shuffle's heaviest
+// partitions to disk. With no budget configured this is track-only
+// (peak_tracked_bytes) and nothing ever spills.
+template <typename Query, typename Body, typename Executor>
+RunResult<Query> RunPipeline(const Dataset& data, const EngineOptions& options) {
+  using Key = typename Query::Key;
+  using Packet = ShufflePacket<Key>;
+
+  // Forked children are reaped inside the run, so the RUSAGE_CHILDREN delta
+  // captures exactly this run's worker processes.
+  const ResourceScope resources;
   const auto t0 = std::chrono::steady_clock::now();
   RunResult<Query> result;
   result.stats.input_bytes = data.TotalBytes();
   result.stats.input_records = data.TotalRecords();
 
-  // Map phase: parse + groupby in one streaming pass, serializing each
-  // record's (key, projected fields) row directly — Hadoop ships one KV
-  // record per event, so each row carries the key again and shuffle
-  // accounting reflects per-record cost.
-  // Per-segment group capacity from the record-count hint (satellite of the
-  // flat-map swap: tables start sized instead of rehashing up from 16).
-  const size_t seg_hint = internal::ResolveGroupCapacityHint(
+  // Per-segment group capacity from the record-count hint, so tables start
+  // sized instead of rehashing up from 16; resolved before any fork.
+  const size_t seg_hint = ResolveGroupCapacityHint(
       options.group_capacity_hint,
       data.segment_count() > 0 ? result.stats.input_records / data.segment_count() : 0);
-  // Memory-budgeted execution (docs/spill.md): every tracked byte — map
-  // tables, buffered rows, buffered shuffle packets — charges this budget;
-  // crossing it flushes map tables into the shuffle and spills the shuffle's
-  // heaviest partitions to disk. With no budget configured this is
-  // track-only (peak_tracked_bytes) and nothing ever spills.
+  const Body body{data, options, seg_hint};
   MemoryBudget budget(options.memory_budget_bytes);
-  internal::SpillContext<Key> spill(
-      &budget, internal::ResolveReducePartitions(options), options.spill_dir);
-  internal::ShuffleBuffer<Key> shuffle(
-      internal::ResolveReducePartitions(options),
-      data.segment_count() * std::min<size_t>(seg_hint, 4096));
+  const size_t partitions = ResolveReducePartitions(options);
+  SpillContext<Key> spill(&budget, partitions, options.spill_dir);
+  ShuffleBuffer<Key> shuffle(partitions,
+                             data.segment_count() * std::min<size_t>(seg_hint, 4096));
   shuffle.EnableSpill(&budget, &spill);
-  const internal::PacketSink<Key> sink = [&shuffle](std::vector<Packet>&& batch) {
-    return shuffle.AddBatch(std::move(batch));
-  };
-  auto map_morsel = [seg_hint, &budget, &sink](
-                        uint32_t mapper_id, std::string_view chunk,
-                        uint64_t first_record,
-                        internal::TaskStats* ts) -> std::vector<Packet> {
-    return internal::BaselineMapSegment<Query>(chunk, mapper_id, first_record,
-                                               ts, seg_hint, &budget, sink);
-  };
-  internal::RunMapPhase<Key>(
-      data.segments, options.map_slots,
-      internal::ResolveMorselRecords(options.morsel_records,
-                                     result.stats.input_records,
-                                     options.map_slots),
-      map_morsel, /*degrade=*/nullptr, &shuffle, &result.stats,
-      options.observer);
-  result.stats.map_wall_ms = internal::MsSince(t0);
+  Executor::RunMap(data, options, body, &budget, &shuffle, &result.stats);
+  result.stats.map_wall_ms = MsSince(t0);
 
-  // Reduce: deserialize the ordered events and run the UDA concretely.
   std::mutex out_mu;
-  internal::RunShuffleAndReduce<Key>(
+  DegradeAccounting degrades;
+  RunShuffleAndReduce<Key>(
       std::move(shuffle), options.reduce_slots, options.reduce_schedule,
-      [&result, &out_mu](const Key& key, const Packet* first, const Packet* last) {
-        State state{};
-        for (const Packet* p = first; p != last; ++p) {
-          BinaryReader r(p->blob.data(), p->blob.size());
-          const uint64_t n = r.ReadVarUint();
-          for (uint64_t i = 0; i < n; ++i) {
-            TextKeyCodec<Key>::Skip(r);  // per-record textual key (Hadoop row)
-            const Event ev = Query::DeserializeEvent(r);
-            Query::Update(state, ev);
-          }
-        }
+      [&result, &out_mu, &body, &degrades](const Key& key, const Packet* first,
+                                           const Packet* last) {
+        typename Query::State state{};
+        body.Reduce(key, first, last, state, &degrades);
         auto output = Query::Result(state, key);
         std::lock_guard<std::mutex> lock(out_mu);
         result.outputs.emplace(key, std::move(output));
       },
       &result.stats, options.observer, &spill);
+  FoldDegrades(degrades, &result.stats, options.observer);
 
   result.stats.peak_tracked_bytes = budget.peak_bytes();
-  result.stats.total_wall_ms = internal::MsSince(t0);
+  result.stats.total_wall_ms = MsSince(t0);
   resources.Fold(&result.stats);
   return result;
 }
 
-// --- The SYMPLE engine ------------------------------------------------------------
+}  // namespace internal
 
+// Hand-optimized MapReduce baseline on threads.
+template <typename Query>
+RunResult<Query> RunBaselineMapReduce(const Dataset& data,
+                                      const EngineOptions& options = {}) {
+  return internal::RunPipeline<Query, internal::RowsBody<Query>,
+                               internal::ThreadExecutor>(data, options);
+}
+
+// The SYMPLE engine on threads.
 template <typename Query>
 RunResult<Query> RunSymple(const Dataset& data, const EngineOptions& options = {}) {
-  using Key = typename Query::Key;
-  using State = typename Query::State;
-  using Packet = internal::ShufflePacket<Key>;
-
-  const internal::ResourceScope resources;
-  const auto t0 = std::chrono::steady_clock::now();
-  RunResult<Query> result;
-  result.stats.input_bytes = data.TotalBytes();
-  result.stats.input_records = data.TotalRecords();
-
-  // Map phase: groupby + symbolic UDA in one streaming pass — each parsed
-  // record feeds straight into its group's symbolic aggregator (no grouped
-  // intermediate); one packet per (mapper, key) holds that mapper's ordered
-  // symbolic summaries for the key.
-  const size_t seg_hint = internal::ResolveGroupCapacityHint(
-      options.group_capacity_hint,
-      data.segment_count() > 0 ? result.stats.input_records / data.segment_count() : 0);
-  // Memory-budgeted execution (docs/spill.md): see RunBaselineMapReduce.
-  MemoryBudget budget(options.memory_budget_bytes);
-  internal::SpillContext<Key> spill(
-      &budget, internal::ResolveReducePartitions(options), options.spill_dir);
-  internal::ShuffleBuffer<Key> shuffle(
-      internal::ResolveReducePartitions(options),
-      data.segment_count() * std::min<size_t>(seg_hint, 4096));
-  shuffle.EnableSpill(&budget, &spill);
-  const internal::PacketSink<Key> sink = [&shuffle](std::vector<Packet>&& batch) {
-    return shuffle.AddBatch(std::move(batch));
-  };
-  auto map_morsel = [&options, seg_hint, &budget, &sink](
-                        uint32_t mapper_id, std::string_view chunk,
-                        uint64_t first_record,
-                        internal::TaskStats* ts) -> std::vector<Packet> {
-    return internal::SympleMapSegment<Query>(chunk, mapper_id, first_record,
-                                             options.aggregator, options.budgets,
-                                             ts, seg_hint, &budget, sink);
-  };
-  // A SympleError escaping the map body (e.g. a throwing user Parse) demotes
-  // the morsel to DeferredConcrete markers — the reducer replays those
-  // records concretely and does the degrade accounting then, exactly like
-  // every other marker (docs/degradation.md) — instead of failing the run.
-  const auto degrade_morsel =
-      [](uint32_t segment_id, std::string_view chunk, uint64_t first_record,
-         const SympleError& e) -> std::vector<Packet> {
-    return internal::DeferSegmentPackets<Query>(
-        chunk, segment_id, ClassifyDegradeError(e), e.what(), first_record);
-  };
-  internal::RunMapPhase<Key>(
-      data.segments, options.map_slots,
-      internal::ResolveMorselRecords(options.morsel_records,
-                                     result.stats.input_records,
-                                     options.map_slots),
-      map_morsel, degrade_morsel, &shuffle, &result.stats, options.observer);
-  result.stats.map_wall_ms = internal::MsSince(t0);
-
-  // Reduce: combine summaries in (mapper_id, record_id) order, either by
-  // folding them onto the concrete initial state or by associative tree
-  // composition (Section 3.6). Deferred or invalid segments replay
-  // concretely from the prefix state (docs/degradation.md).
-  std::mutex out_mu;
-  internal::DegradeAccounting degrades;
-  internal::RunShuffleAndReduce<Key>(
-      std::move(shuffle), options.reduce_slots, options.reduce_schedule,
-      [&result, &out_mu, &options, &data, &degrades](
-          const Key& key, const Packet* first, const Packet* last) {
-        State state{};
-        internal::SympleReduceKey<Query>(data, options.reduce_mode, key, first,
-                                         last, state, &degrades);
-        auto output = Query::Result(state, key);
-        std::lock_guard<std::mutex> lock(out_mu);
-        result.outputs.emplace(key, std::move(output));
-      },
-      &result.stats, options.observer, &spill);
-  internal::FoldDegrades(degrades, &result.stats, options.observer);
-
-  result.stats.peak_tracked_bytes = budget.peak_bytes();
-  result.stats.total_wall_ms = internal::MsSince(t0);
-  resources.Fold(&result.stats);
-  return result;
+  return internal::RunPipeline<Query, internal::SummariesBody<Query>,
+                               internal::ThreadExecutor>(data, options);
 }
 
 }  // namespace symple

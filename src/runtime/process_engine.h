@@ -57,7 +57,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -141,30 +140,21 @@ inline BinaryReader ValidateWorkerFrame(const std::vector<uint8_t>& frame,
 // die with the worker, so forked-mode reports carry coarser map-side detail
 // than the threaded engines) and one OnWorkerFailure event per kill.
 //
-// `degrade_segment`, when provided, handles corrupt worker streams (frames
-// failing checksum/version validation): instead of retrying — pointless when
-// the corruption is deterministic — each uncommitted segment is replaced by
-// the packets this callback returns (deferred-replay markers in the SYMPLE
-// engine). Without it, corruption falls back to the crash/retry path.
-//
-// MapSegmentFn is the morsel-shaped map contract shared with the threaded
-// engines: (chunk, segment_id, first_record) -> packets. The children keep
-// whole-segment granularity (chunk = the full segment, first_record = 0):
-// a child is already one core, so intra-child morsels buy nothing, and
-// commit/retry bookkeeping stays per segment. The parent's in-process
-// fallback, by contrast, is morsel-driven (docs/scheduling.md): it owns all
-// the surviving cores, and the segments that land there are by definition
-// the ones that already stalled a worker lineage.
-template <typename Key, typename MapSegmentFn>
-void RunForkedMapPhase(
-    const Dataset& data, const EngineOptions& options, MapSegmentFn map_segment,
-    ShuffleBuffer<Key>* shuffle, EngineStats* stats,
-    obs::RunObserver* observer = nullptr,
-    std::function<std::vector<ShufflePacket<Key>>(std::string_view, uint32_t,
-                                                  uint64_t)>
-        degrade_segment = nullptr) {
+// Children run body.Map — the thread executor's map body — on whole segments
+// with no budget and no sink: a child is already one core and its own
+// address space, and commit/retry bookkeeping stays per segment. Corrupt
+// streams (frames failing checksum/version validation) are not retried when
+// Body::kDefers — deterministic corruption would recur — but replaced by
+// body.Defer's markers. A lineage out of retries runs its pending segments
+// in-process through RunMapPhase, under the run's `budget`.
+template <typename Body>
+void RunForkedMapPhase(const Dataset& data, const EngineOptions& options,
+                       const Body& body, MemoryBudget* budget,
+                       ShuffleBuffer<typename Body::Key>* shuffle, EngineStats* stats) {
+  using Key = typename Body::Key;
   using Packet = ShufflePacket<Key>;
   using Clock = std::chrono::steady_clock;
+  obs::RunObserver* observer = options.observer;
   const size_t num_processes = options.map_slots == 0 ? 1 : options.map_slots;
   const std::optional<FaultSpec> fault = FaultSpecFromEnv();
 
@@ -216,26 +206,27 @@ void RunForkedMapPhase(
       int exit_code = 0;
       try {
         FrameWriter writer(write_end.get(), fault, w->spawn_seq);
-        BinaryWriter body;
+        BinaryWriter frame_body;
         BinaryWriter payload;
         for (const uint32_t s : w->pending) {
+          TaskStats ts;  // per-process stats die with the worker
           std::vector<Packet> packets =
-              map_segment(data.segments[s], static_cast<uint32_t>(s),
-                          /*first_record=*/0);
+              body.Map(data.segments[s], s, /*first_record=*/0, &ts,
+                       /*budget=*/nullptr, /*sink=*/{});
           for (const Packet& p : packets) {
-            body.Clear();
-            body.WriteVarUint(s);
-            SerializePacketFrame(p, body);
-            BuildWorkerFrame(kFramePacket, body, &payload);
+            frame_body.Clear();
+            frame_body.WriteVarUint(s);
+            SerializePacketFrame(p, frame_body);
+            BuildWorkerFrame(kFramePacket, frame_body, &payload);
             writer.WriteFrame(payload.buffer());
           }
-          body.Clear();
-          body.WriteVarUint(s);
-          BuildWorkerFrame(kFrameSegmentDone, body, &payload);
+          frame_body.Clear();
+          frame_body.WriteVarUint(s);
+          BuildWorkerFrame(kFrameSegmentDone, frame_body, &payload);
           writer.WriteFrame(payload.buffer());
         }
-        body.Clear();
-        BuildWorkerFrame(kFrameStreamEnd, body, &payload);
+        frame_body.Clear();
+        BuildWorkerFrame(kFrameStreamEnd, frame_body, &payload);
         writer.WriteFrame(payload.buffer());
       } catch (...) {
         exit_code = 1;  // parent recovers via the missing stream-end marker
@@ -330,8 +321,7 @@ void RunForkedMapPhase(
   // are never re-run.
   auto handle_failure = [&](std::unique_ptr<WorkerState>& slot, const char* kind) {
     WorkerState& w = *slot;
-    const bool degrading =
-        std::strcmp(kind, "corrupt") == 0 && degrade_segment != nullptr;
+    const bool degrading = std::strcmp(kind, "corrupt") == 0 && Body::kDefers;
     if (std::strcmp(kind, "timeout") == 0) {
       ++stats->worker_timeouts;
     } else if (!degrading) {
@@ -344,7 +334,6 @@ void RunForkedMapPhase(
     }
     std::vector<uint32_t> pending = std::move(w.pending);
     const int attempt = w.attempt;
-    const uint32_t failed_seq = w.spawn_seq;
     if (pending.empty()) {
       // Nothing left to recover (e.g. the stream died after the last
       // segment-done but before stream-end); the worker's output is complete.
@@ -354,15 +343,13 @@ void RunForkedMapPhase(
     if (degrading) {
       // Nothing read from this pipe can be trusted and re-running a
       // deterministically corrupting worker cannot help, so don't retry:
-      // every uncommitted segment is replaced by the caller's degrade packets
-      // (deferred-replay markers), which the reducer resolves concretely.
-      for (const uint32_t s : pending) {
-        std::vector<Packet> packets = degrade_segment(
-            data.segments[s], static_cast<uint32_t>(s), /*first_record=*/0);
-        for (Packet& p : packets) {
-          const uint64_t bytes = PacketBytes(p);
-          stats->shuffle_bytes += bytes;
-          shuffle->Add(std::move(p), bytes);
+      // every uncommitted segment is replaced by the body's deferred-replay
+      // markers, which the reducer resolves concretely.
+      if constexpr (Body::kDefers) {
+        for (const uint32_t s : pending) {
+          stats->shuffle_bytes += shuffle->AddBatch(
+              body.Defer(data.segments[s], s, /*first_record=*/0,
+                         DegradeReason::kWireCorrupt, "corrupt summary frame from worker"));
         }
       }
       slot.reset();
@@ -376,94 +363,21 @@ void RunForkedMapPhase(
       return;
     }
     // Final fallback: in-process execution, which cannot crash-loop. The
-    // fallback is morsel-driven (docs/scheduling.md): the pending segments —
-    // often one straggler worker's whole share — are chunked into
-    // record-aligned morsels and pulled from stealing deques by map_slots
-    // threads, so the recovery runs wide instead of serially re-walking
-    // segments on the drain thread. Morsel packets carry global record ids,
-    // so they compose at the reducer exactly like a whole segment's would.
+    // pending segments — often one straggler worker's whole share — run
+    // through the threaded executor's morsel loop on map_slots threads, so
+    // the recovery runs wide instead of serially re-walking segments on the
+    // drain thread, and its TaskStats fold into the run's counters. Morsel
+    // packets carry global record ids, so they compose at the reducer
+    // exactly like a whole segment's would.
     stats->fallback_segments += pending.size();
-    const double fb_start = observer != nullptr ? observer->NowUs() : 0;
     uint64_t total_records = 0;
     for (const uint32_t s : pending) {
       total_records += data.segments[s].size() / 64 + 1;  // bytes-derived hint
     }
-    const size_t morsel_records = ResolveMorselRecords(
-        options.morsel_records, total_records, num_processes);
-    std::vector<Morsel> morsels;
-    for (const uint32_t s : pending) {
-      AppendSegmentMorsels(data.segments[s], s, morsel_records, &morsels);
-    }
-    const size_t fb_workers = std::min(num_processes, morsels.size());
-    StealingIndexQueues queues(fb_workers);
-    for (size_t i = 0; i < morsels.size(); ++i) {
-      queues.Push(morsels[i].segment % fb_workers, i);
-    }
-    std::atomic<uint64_t> fb_packets{0};
-    std::atomic<uint64_t> fb_bytes{0};
-    std::mutex fb_err_mu;
-    std::string fb_error;
-    {
-      ThreadPool pool(fb_workers);
-      for (size_t fw = 0; fw < fb_workers; ++fw) {
-        pool.Submit([fw, &queues, &morsels, &data, &map_segment,
-                     &degrade_segment, shuffle, &fb_packets, &fb_bytes,
-                     &fb_err_mu, &fb_error] {
-          size_t idx = 0;
-          bool stolen = false;
-          while (queues.Next(fw, &idx, &stolen)) {
-            const Morsel& m = morsels[idx];
-            const std::string_view chunk =
-                std::string_view(data.segments[m.segment])
-                    .substr(m.byte_begin, m.byte_end - m.byte_begin);
-            std::vector<Packet> packets;
-            try {
-              packets = map_segment(chunk, m.segment, m.first_record);
-            } catch (const SympleError& e) {
-              bool degraded = false;
-              if (degrade_segment != nullptr) {
-                try {
-                  packets = degrade_segment(chunk, m.segment, m.first_record);
-                  degraded = true;
-                } catch (const SympleError&) {
-                }
-              }
-              if (!degraded) {
-                std::lock_guard<std::mutex> lock(fb_err_mu);
-                if (fb_error.empty()) {
-                  fb_error = e.what();
-                }
-              }
-            }
-            uint64_t batch_bytes = 0;
-            for (Packet& p : packets) {
-              const uint64_t bytes = PacketBytes(p);
-              batch_bytes += bytes;
-              shuffle->Add(std::move(p), bytes);
-            }
-            fb_packets.fetch_add(packets.size(), std::memory_order_relaxed);
-            fb_bytes.fetch_add(batch_bytes, std::memory_order_relaxed);
-          }
-        });
-      }
-      pool.Wait();
-    }
-    if (!fb_error.empty()) {
-      throw SympleIoError("map stage failed: " + fb_error);
-    }
-    stats->shuffle_bytes += fb_bytes.load();
-    stats->map_morsels += morsels.size();
-    stats->morsel_steals += queues.steals();
-    if (observer != nullptr) {
-      obs::MapTaskObs t;
-      t.mapper_id = failed_seq;
-      t.start_us = fb_start;
-      t.end_us = observer->NowUs();
-      t.packets = fb_packets.load();
-      t.bytes = fb_bytes.load();
-      t.morsels = morsels.size();
-      observer->OnMapTask(t);
-    }
+    RunMapPhase(data.segments, pending, num_processes,
+                ResolveMorselRecords(options.morsel_records, total_records,
+                                     num_processes),
+                body, budget, shuffle, stats, observer);
     slot.reset();
   };
 
@@ -547,137 +461,37 @@ void RunForkedMapPhase(
   }
 }
 
+// Executor running the map phase in forked worker processes. Only the
+// parent-side shuffle buffer is tracked against the memory budget (the
+// children keep their own address spaces), and the parent drain's Adds
+// trigger spills while workers are still producing. Forked children always
+// _exit without running destructors, so a child forked after the spill
+// directory exists can never double-unlink it.
+struct ForkExecutor {
+  template <typename Body>
+  static void RunMap(const Dataset& data, const EngineOptions& options,
+                     const Body& body, MemoryBudget* budget,
+                     ShuffleBuffer<typename Body::Key>* shuffle, EngineStats* stats) {
+    RunForkedMapPhase(data, options, body, budget, shuffle, stats);
+  }
+};
+
 }  // namespace internal
 
 // SYMPLE with forked map workers: symbolic summaries cross a real process
 // boundary in wire form before the parent-side shuffle and reduce.
 template <typename Query>
 RunResult<Query> RunSympleForked(const Dataset& data, const EngineOptions& options = {}) {
-  using Key = typename Query::Key;
-  using State = typename Query::State;
-  using Packet = internal::ShufflePacket<Key>;
-
-  // Children are reaped inside the run, so the RUSAGE_CHILDREN delta captures
-  // exactly this run's worker processes.
-  const internal::ResourceScope resources;
-  const auto t0 = std::chrono::steady_clock::now();
-  RunResult<Query> result;
-  result.stats.input_bytes = data.TotalBytes();
-  result.stats.input_records = data.TotalRecords();
-
-  // Resolved in the parent before any fork; the workers inherit the value.
-  const size_t seg_hint = internal::ResolveGroupCapacityHint(
-      options.group_capacity_hint,
-      data.segment_count() > 0 ? result.stats.input_records / data.segment_count() : 0);
-  auto map_segment = [&options, seg_hint](
-                         std::string_view segment, uint32_t mapper_id,
-                         uint64_t first_record) -> std::vector<Packet> {
-    internal::TaskStats ts;  // per-process stats die with the worker
-    return internal::SympleMapSegment<Query>(segment, mapper_id, first_record,
-                                             options.aggregator, options.budgets,
-                                             &ts, seg_hint);
-  };
-  // Replacement packets for a segment whose worker produced a corrupt
-  // stream: deferred-replay markers, resolved concretely at the reducer.
-  auto degrade_segment = [](std::string_view segment, uint32_t segment_id,
-                            uint64_t first_record) -> std::vector<Packet> {
-    return internal::DeferSegmentPackets<Query>(
-        segment, segment_id, DegradeReason::kWireCorrupt,
-        "corrupt summary frame from worker", first_record);
-  };
-  // Memory-budgeted execution (docs/spill.md): the children keep their own
-  // address spaces — only the parent-side shuffle buffer is tracked here, and
-  // the parent drain's Adds trigger spills while workers are still producing.
-  // Forked children always _exit without running destructors, so a child
-  // forked after the spill directory exists can never double-unlink it.
-  MemoryBudget budget(options.memory_budget_bytes);
-  internal::SpillContext<Key> spill(
-      &budget, internal::ResolveReducePartitions(options), options.spill_dir);
-  internal::ShuffleBuffer<Key> shuffle(internal::ResolveReducePartitions(options));
-  shuffle.EnableSpill(&budget, &spill);
-  internal::RunForkedMapPhase<Key>(data, options, map_segment, &shuffle,
-                                   &result.stats, options.observer,
-                                   degrade_segment);
-  result.stats.map_wall_ms = internal::MsSince(t0);
-
-  std::mutex out_mu;
-  internal::DegradeAccounting degrades;
-  internal::RunShuffleAndReduce<Key>(
-      std::move(shuffle), options.reduce_slots, options.reduce_schedule,
-      [&result, &out_mu, &data, &options, &degrades](
-          const Key& key, const Packet* first, const Packet* last) {
-        State state{};
-        internal::SympleReduceKey<Query>(data, options.reduce_mode, key, first,
-                                         last, state, &degrades);
-        auto output = Query::Result(state, key);
-        std::lock_guard<std::mutex> lock(out_mu);
-        result.outputs.emplace(key, std::move(output));
-      },
-      &result.stats, options.observer, &spill);
-  internal::FoldDegrades(degrades, &result.stats, options.observer);
-  result.stats.peak_tracked_bytes = budget.peak_bytes();
-  result.stats.total_wall_ms = internal::MsSince(t0);
-  resources.Fold(&result.stats);
-  return result;
+  return internal::RunPipeline<Query, internal::SummariesBody<Query>,
+                               internal::ForkExecutor>(data, options);
 }
 
 // Baseline with forked map workers (grouped textual rows over the pipes).
 template <typename Query>
 RunResult<Query> RunBaselineForked(const Dataset& data,
                                    const EngineOptions& options = {}) {
-  using Key = typename Query::Key;
-  using Event = typename Query::Event;
-  using State = typename Query::State;
-  using Packet = internal::ShufflePacket<Key>;
-
-  const internal::ResourceScope resources;
-  const auto t0 = std::chrono::steady_clock::now();
-  RunResult<Query> result;
-  result.stats.input_bytes = data.TotalBytes();
-  result.stats.input_records = data.TotalRecords();
-
-  const size_t seg_hint = internal::ResolveGroupCapacityHint(
-      options.group_capacity_hint,
-      data.segment_count() > 0 ? result.stats.input_records / data.segment_count() : 0);
-  auto map_segment = [seg_hint](std::string_view segment, uint32_t mapper_id,
-                                uint64_t first_record) -> std::vector<Packet> {
-    internal::TaskStats ts;
-    return internal::BaselineMapSegment<Query>(segment, mapper_id, first_record,
-                                               &ts, seg_hint);
-  };
-  // Parent-side memory budget + shuffle spill, as in RunSympleForked.
-  MemoryBudget budget(options.memory_budget_bytes);
-  internal::SpillContext<Key> spill(
-      &budget, internal::ResolveReducePartitions(options), options.spill_dir);
-  internal::ShuffleBuffer<Key> shuffle(internal::ResolveReducePartitions(options));
-  shuffle.EnableSpill(&budget, &spill);
-  internal::RunForkedMapPhase<Key>(data, options, map_segment, &shuffle,
-                                   &result.stats, options.observer);
-  result.stats.map_wall_ms = internal::MsSince(t0);
-
-  std::mutex out_mu;
-  internal::RunShuffleAndReduce<Key>(
-      std::move(shuffle), options.reduce_slots, options.reduce_schedule,
-      [&result, &out_mu](const Key& key, const Packet* first, const Packet* last) {
-        State state{};
-        for (const Packet* p = first; p != last; ++p) {
-          BinaryReader r(p->blob.data(), p->blob.size());
-          const uint64_t n = r.ReadVarUint();
-          for (uint64_t i = 0; i < n; ++i) {
-            TextKeyCodec<Key>::Skip(r);
-            const Event ev = Query::DeserializeEvent(r);
-            Query::Update(state, ev);
-          }
-        }
-        auto output = Query::Result(state, key);
-        std::lock_guard<std::mutex> lock(out_mu);
-        result.outputs.emplace(key, std::move(output));
-      },
-      &result.stats, options.observer, &spill);
-  result.stats.peak_tracked_bytes = budget.peak_bytes();
-  result.stats.total_wall_ms = internal::MsSince(t0);
-  resources.Fold(&result.stats);
-  return result;
+  return internal::RunPipeline<Query, internal::RowsBody<Query>,
+                               internal::ForkExecutor>(data, options);
 }
 
 }  // namespace symple

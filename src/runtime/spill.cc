@@ -25,7 +25,7 @@ std::optional<FaultSpec> SpillFaultFromEnv() {
 
 TempFile::TempFile(const std::string& dir, const std::string& name)
     : path_(dir + "/" + name) {
-  // O_RDWR, not O_WRONLY: TryWriteBlockVerified preads its own writes back.
+  // O_RDWR, not O_WRONLY: the owner may pread its own writes back.
   const int fd = ::open(path_.c_str(), O_CREAT | O_EXCL | O_RDWR, 0600);
   if (fd < 0) {
     const std::string err = std::strerror(errno);
@@ -135,85 +135,6 @@ void SpillFileWriter::WriteBlock(uint8_t type, const std::vector<uint8_t>& body)
   }
   bytes_written_ += block.size();
   ++blocks_written_;
-}
-
-void SpillFileWriter::RewindTo(uint64_t offset, uint64_t blocks) {
-  // Best effort: if even the truncate fails the next verification pass will
-  // reject the trailing garbage, so nothing silent can survive here.
-  ::ftruncate(file_->fd(), static_cast<off_t>(offset));
-  ::lseek(file_->fd(), static_cast<off_t>(offset), SEEK_SET);
-  bytes_written_ = offset;
-  blocks_written_ = blocks;
-}
-
-bool SpillFileWriter::VerifyBlockAt(uint64_t offset) const {
-  uint8_t header[kSpillEnvelopeBytes];
-  if (::pread(file_->fd(), header, sizeof(header),
-              static_cast<off_t>(offset)) !=
-      static_cast<ssize_t>(sizeof(header))) {
-    return false;
-  }
-  const uint32_t size = GetU32Le(header);
-  if (size < 2 || size > kMaxSpillBlockBytes) {
-    return false;
-  }
-  std::vector<uint8_t> body(size - 2);
-  if (::pread(file_->fd(), body.data(), body.size(),
-              static_cast<off_t>(offset + sizeof(header))) !=
-      static_cast<ssize_t>(body.size())) {
-    return false;
-  }
-  uint32_t crc = Crc32(header + 8, 2);
-  crc = Crc32Extend(crc, body.data(), body.size());
-  return crc == GetU32Le(header + 4) && header[9] == kSpillWireVersion;
-}
-
-bool SpillFileWriter::TryWriteBlockVerified(uint8_t type,
-                                            const std::vector<uint8_t>& body) {
-  const uint64_t offset = bytes_written_;
-  const uint64_t blocks = blocks_written_;
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    try {
-      WriteBlock(type, body);
-    } catch (const SympleIoError&) {
-      RewindTo(offset, blocks);
-      continue;
-    }
-    if (VerifyBlockAt(offset)) {
-      return true;
-    }
-    RewindTo(offset, blocks);
-  }
-  return false;
-}
-
-void RowSpillFile::AppendRow(const uint8_t* row, size_t size,
-                             std::vector<uint8_t>* overflow) {
-  if (broken_) {
-    overflow->insert(overflow->end(), row, row + size);
-    return;
-  }
-  pending_.insert(pending_.end(), row, row + size);
-  if (pending_.size() >= kSpillBlockTargetBytes) {
-    FlushPending(overflow);
-  }
-}
-
-void RowSpillFile::Finish(std::vector<uint8_t>* overflow) {
-  FlushPending(overflow);
-}
-
-void RowSpillFile::FlushPending(std::vector<uint8_t>* overflow) {
-  if (pending_.empty()) {
-    return;
-  }
-  if (!broken_ && writer_.TryWriteBlockVerified(kSpillBlockRows, pending_)) {
-    pending_.clear();
-    return;
-  }
-  broken_ = true;
-  overflow->insert(overflow->end(), pending_.begin(), pending_.end());
-  pending_.clear();
 }
 
 SpillFileReader::SpillFileReader(const std::string& path) : path_(path) {

@@ -1,9 +1,9 @@
 // Disk primitives for memory-budgeted execution (docs/spill.md).
 //
-// When a run crosses EngineOptions::memory_budget_bytes, the engines move
-// sorted runs of shuffle packets (and, in the sequential engine, raw grouped
-// rows) out to disk and merge them back at reduce time. This header owns the
-// *untemplated* half of that machinery:
+// When a run crosses EngineOptions::memory_budget_bytes, the map/shuffle/
+// reduce engines move sorted runs of shuffle packets out to disk and merge
+// them back at reduce time. This header owns the *untemplated* half of that
+// machinery:
 //
 //   TempDir / TempFile   RAII-managed spill locations. A TempFile unlinks its
 //                        path on destruction — including when an exception
@@ -46,7 +46,6 @@ namespace internal {
 // layout changes; a mismatch is treated as corruption (the file is from this
 // process's run, so a version skew can only mean scrambled bytes).
 inline constexpr uint8_t kSpillBlockPackets = 1;  // body: shuffle packets
-inline constexpr uint8_t kSpillBlockRows = 2;     // body: sequential rows
 inline constexpr uint8_t kSpillWireVersion = 1;
 inline constexpr size_t kSpillEnvelopeBytes = 10;  // size(4)+crc(4)+type+ver
 inline constexpr uint32_t kMaxSpillBlockBytes = 1u << 30;
@@ -148,24 +147,10 @@ class SpillFileWriter {
   // written body (detected by Verify / the reader, never silently).
   void WriteBlock(uint8_t type, const std::vector<uint8_t>& body);
 
-  // WriteBlock plus read-back verification and in-place recovery, for
-  // streams whose earlier blocks cannot be rewritten (the sequential
-  // engine's row spill): a failed or corrupt write truncates the file back
-  // to its last good offset and retries once; false means the retry also
-  // failed — the file is still valid up to its last verified block and the
-  // caller must keep this body's rows in memory.
-  bool TryWriteBlockVerified(uint8_t type, const std::vector<uint8_t>& body);
-
   uint64_t bytes_written() const { return bytes_written_; }
   uint64_t blocks_written() const { return blocks_written_; }
 
  private:
-  // Truncates the file (and the write offset) back to `offset`, undoing any
-  // partially or corruptly written block beyond it.
-  void RewindTo(uint64_t offset, uint64_t blocks);
-  // Re-reads the block at `offset` and validates its envelope + checksum.
-  bool VerifyBlockAt(uint64_t offset) const;
-
   TempFile* file_;
   SpillFaultInjector* faults_;  // may be null (no injection)
   uint64_t bytes_written_ = 0;
@@ -192,37 +177,6 @@ class SpillFileReader {
 // detection point: data is still in memory, so the caller can retry on a
 // fresh file). `expect_blocks` cross-checks the count.
 bool VerifySpillFile(const std::string& path, uint64_t expect_blocks);
-
-// Streaming row sink for the sequential engine's hybrid-hash spill
-// (docs/spill.md): buffers serialized rows and appends them as verified
-// kSpillBlockRows blocks. Rows the disk refuses — after the writer's
-// truncate-and-retry — are handed back through `overflow` for in-memory
-// processing: a failing disk degrades the memory bound, never the result.
-class RowSpillFile {
- public:
-  RowSpillFile(const std::string& dir, const std::string& name,
-               SpillFaultInjector* faults)
-      : file_(dir, name), writer_(&file_, faults) {}
-
-  // Appends one serialized row (rows are self-delimiting; blocks are cut at
-  // kSpillBlockTargetBytes boundaries between rows).
-  void AppendRow(const uint8_t* row, size_t size, std::vector<uint8_t>* overflow);
-  // Writes any buffered partial block; call once before reading back.
-  void Finish(std::vector<uint8_t>* overflow);
-
-  const std::string& path() const { return file_.path(); }
-  bool has_blocks() const { return writer_.blocks_written() > 0; }
-  uint64_t bytes_written() const { return writer_.bytes_written(); }
-  void CloseFd() { file_.CloseFd(); }
-
- private:
-  void FlushPending(std::vector<uint8_t>* overflow);
-
-  TempFile file_;
-  SpillFileWriter writer_;
-  std::vector<uint8_t> pending_;
-  bool broken_ = false;  // the disk failed a retried block; stop trying
-};
 
 }  // namespace internal
 }  // namespace symple

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 #include <tuple>
 
 #include "common/text.h"
@@ -63,6 +65,20 @@ LedgerEvent LedgerDeserialize(BinaryReader& r) {
 using LedgerQuery = LambdaQuery<"ledger", &LedgerParse, &LedgerUpdate, &LedgerResult,
                                 &LedgerSerialize, &LedgerDeserialize>;
 
+// LedgerParse that blocks for 20 ms on the marker line "sleep": wall time
+// that is not CPU time.
+std::optional<std::pair<int64_t, LedgerEvent>> SleepyParse(std::string_view line) {
+  if (line == "sleep") {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    return std::nullopt;
+  }
+  return LedgerParse(line);
+}
+
+using SleepyLedgerQuery = LambdaQuery<"sleepy_ledger", &SleepyParse, &LedgerUpdate,
+                                      &LedgerResult, &LedgerSerialize,
+                                      &LedgerDeserialize>;
+
 TEST(LambdaQueryTest, TypesAreDeduced) {
   static_assert(std::is_same_v<LedgerQuery::Key, int64_t>);
   static_assert(std::is_same_v<LedgerQuery::Event, LedgerEvent>);
@@ -87,6 +103,16 @@ TEST(LambdaQueryTest, RunsThroughAllEngines) {
   EXPECT_EQ(seq.outputs.at(3), (std::pair<int64_t, int64_t>{7, 1}));
   EXPECT_TRUE(mr.outputs == seq.outputs);
   EXPECT_TRUE(sym.outputs == seq.outputs);
+}
+
+TEST(LambdaQueryTest, SequentialReportsThreadCpuNotWall) {
+  const Dataset data = DatasetFromLines({{"1\t5", "sleep", "1\t7"}});
+  const auto seq = RunSequential<SleepyLedgerQuery>(data);
+  EXPECT_EQ(seq.stats.parsed_records, 2u);
+  EXPECT_GE(seq.stats.total_wall_ms, 20.0);
+  // The sleep is wall time the scan spent blocked: map_cpu_ms is measured
+  // on the thread clock, not copied from the wall.
+  EXPECT_LT(seq.stats.map_cpu_ms, seq.stats.total_wall_ms - 10);
 }
 
 TEST(LambdaQueryTest, SymbolicAdditionsNeverFork) {

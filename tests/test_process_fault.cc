@@ -210,6 +210,9 @@ TEST(ProcessFault, RepeatedCrashesFallBackInProcess) {
   const auto forked = RunSympleForked<G1OnlyPushes>(data, options);
   EXPECT_TRUE(forked.outputs == seq.outputs);
   EXPECT_EQ(forked.stats.fallback_segments, data.segments.size());
+  // The fallback runs the threaded morsel loop, whose per-task counters fold
+  // into the run's stats.
+  EXPECT_EQ(forked.stats.parsed_records, seq.stats.parsed_records);
   // Two initial workers, one respawn each.
   EXPECT_EQ(forked.stats.worker_retries, 2u);
   EXPECT_EQ(forked.stats.worker_crashes, 4u);

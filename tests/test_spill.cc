@@ -1,8 +1,9 @@
 // Memory-budgeted execution and spill-to-disk tests (docs/spill.md): the
 // budget tracker and its watermark, Arena::Reset chunk release, RAII temp
 // file/dir cleanup including the throw path, the checksummed spill block
-// format, budget-triggered spilling in all five engines with byte-identical
-// output, multi-run merge order for order-sensitive queries, every
+// format, budget-triggered spilling in the four map/shuffle/reduce engines
+// with output byte-identical to the unbudgeted sequential oracle (which
+// never spills), multi-run merge order for order-sensitive queries, every
 // SYMPLE_FAULT_SPEC spill-* mode (retry then graceful in-memory fallback),
 // and zero leaked temp files after injected disk failures. Runs under the
 // asan preset.
@@ -102,11 +103,20 @@ Dataset SmallGithub() {
 }
 
 // A budget far below the working set of SmallGithub, so every engine layer
-// (map tables, shuffle, sequential hybrid-hash) actually spills.
+// (map tables, shuffle) actually spills.
 EngineOptions TinyBudgetOptions(const std::string& spill_dir = {}) {
   EngineOptions options;
   options.memory_budget_bytes = 16 * 1024;
   options.spill_dir = spill_dir;
+  return options;
+}
+
+// The bounded single-thread run: the baseline pipeline on one map and one
+// reduce slot under the tiny budget.
+EngineOptions SingleThreadBudgetOptions(const std::string& spill_dir = {}) {
+  EngineOptions options = TinyBudgetOptions(spill_dir);
+  options.map_slots = 1;
+  options.reduce_slots = 1;
   return options;
 }
 
@@ -245,7 +255,7 @@ TEST(Spill, WriterReaderRoundTrip) {
   const std::vector<uint8_t> a = {1, 2, 3};
   const std::vector<uint8_t> b(1000, 0xAB);
   writer.WriteBlock(internal::kSpillBlockPackets, a);
-  writer.WriteBlock(internal::kSpillBlockRows, b);
+  writer.WriteBlock(internal::kSpillBlockPackets, b);
   EXPECT_EQ(writer.blocks_written(), 2u);
   EXPECT_TRUE(internal::VerifySpillFile(file.path(), 2));
   EXPECT_FALSE(internal::VerifySpillFile(file.path(), 3));  // count cross-check
@@ -257,7 +267,7 @@ TEST(Spill, WriterReaderRoundTrip) {
   EXPECT_EQ(type, internal::kSpillBlockPackets);
   EXPECT_EQ(body, a);
   ASSERT_TRUE(reader.NextBlock(&type, &body));
-  EXPECT_EQ(type, internal::kSpillBlockRows);
+  EXPECT_EQ(type, internal::kSpillBlockPackets);
   EXPECT_EQ(body, b);
   EXPECT_FALSE(reader.NextBlock(&type, &body));  // clean EOF
 }
@@ -297,20 +307,6 @@ TEST(Spill, InjectedFaultsFollowTheSpec) {
   EXPECT_TRUE(internal::VerifySpillFile(file.path(), 1));
 }
 
-TEST(Spill, TryWriteBlockVerifiedRecoversFromCorruptWrite) {
-  // spill-corrupt lands a bad block on disk; the verified writer must catch
-  // it on read-back, truncate, and retry in place.
-  FaultGuard guard("spill-corrupt:worker=*:frame=0");
-  internal::SpillFaultInjector faults(internal::SpillFaultFromEnv());
-  internal::TempDir dir("");
-  internal::TempFile file(dir.path(), "rows-0.spill");
-  internal::SpillFileWriter writer(&file, &faults);
-  EXPECT_TRUE(writer.TryWriteBlockVerified(internal::kSpillBlockRows,
-                                           std::vector<uint8_t>(128, 3)));
-  EXPECT_EQ(writer.blocks_written(), 1u);
-  EXPECT_TRUE(internal::VerifySpillFile(file.path(), 1));
-}
-
 // --- budget-triggered spilling in all five engines --------------------------
 
 TEST(Spill, AllFiveEnginesSpillByteIdenticalToSequential) {
@@ -320,12 +316,20 @@ TEST(Spill, AllFiveEnginesSpillByteIdenticalToSequential) {
 
   const EngineOptions budgeted = TinyBudgetOptions();
 
+  // The oracle ignores the budget: same outputs, never a spill, peak still
+  // tracked.
   const auto seq = RunSequential<G1OnlyPushes>(data, budgeted);
   EXPECT_TRUE(seq.outputs == ref.outputs);
-  EXPECT_GT(seq.stats.spill_runs, 0u);
-  EXPECT_GT(seq.stats.spill_bytes, 0u);
+  EXPECT_EQ(seq.stats.spill_runs, 0u);
   EXPECT_GT(seq.stats.peak_tracked_bytes, 0u);
-  EXPECT_EQ(seq.stats.groups, ref.stats.groups);
+
+  // The bounded single-thread run is the pipeline at one slot.
+  const auto single =
+      RunBaselineMapReduce<G1OnlyPushes>(data, SingleThreadBudgetOptions());
+  EXPECT_TRUE(single.outputs == ref.outputs);
+  EXPECT_GT(single.stats.spill_runs, 0u);
+  EXPECT_GT(single.stats.spill_bytes, 0u);
+  EXPECT_EQ(single.stats.groups, ref.stats.groups);
 
   const auto mr = RunBaselineMapReduce<G1OnlyPushes>(data, budgeted);
   EXPECT_TRUE(mr.outputs == ref.outputs);
@@ -454,8 +458,10 @@ TEST(SpillFault, EveryModeRecoversViaRetry) {
     // still spilled instead of falling back to memory.
     EXPECT_GT(mr.stats.spill_runs, 0u) << spec;
 
-    const auto seq = RunSequential<G1OnlyPushes>(data, TinyBudgetOptions());
-    EXPECT_TRUE(seq.outputs == ref.outputs) << spec;
+    const auto single =
+        RunBaselineMapReduce<G1OnlyPushes>(data, SingleThreadBudgetOptions());
+    EXPECT_TRUE(single.outputs == ref.outputs) << spec;
+    EXPECT_GT(single.stats.spill_runs, 0u) << spec;
   }
 }
 
@@ -470,9 +476,10 @@ TEST(SpillFault, PersistentDiskFailureFallsBackToMemory) {
   EXPECT_TRUE(mr.outputs == ref.outputs);
   EXPECT_EQ(mr.stats.spill_runs, 0u);
 
-  const auto seq = RunSequential<G1OnlyPushes>(data, TinyBudgetOptions());
-  EXPECT_TRUE(seq.outputs == ref.outputs);
-  EXPECT_EQ(seq.stats.spill_runs, 0u);
+  const auto single =
+      RunBaselineMapReduce<G1OnlyPushes>(data, SingleThreadBudgetOptions());
+  EXPECT_TRUE(single.outputs == ref.outputs);
+  EXPECT_EQ(single.stats.spill_runs, 0u);
 
   const auto sym = RunSymple<G1OnlyPushes>(data, TinyBudgetOptions());
   EXPECT_TRUE(sym.outputs == ref.outputs);
@@ -500,9 +507,10 @@ TEST(SpillFault, NoTempFilesLeakAfterInjectedEnospc) {
   }
   {  // persistent failure: everything stays in memory, nothing leaks
     FaultGuard guard("spill-short-write:worker=*:frame=*");
-    const auto seq = RunSequential<G1OnlyPushes>(
-        data, TinyBudgetOptions(scratch.path()));
-    EXPECT_TRUE(seq.outputs == ref.outputs);
+    const auto single = RunBaselineMapReduce<G1OnlyPushes>(
+        data, SingleThreadBudgetOptions(scratch.path()));
+    EXPECT_TRUE(single.outputs == ref.outputs);
+    EXPECT_EQ(single.stats.spill_runs, 0u);
     EXPECT_EQ(CountDirEntries(scratch.path()), 0u);
   }
 }
