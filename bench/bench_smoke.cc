@@ -53,6 +53,17 @@ void CheckHistogram(const obs::JsonValue* h, const std::string& label) {
   }
 }
 
+void CheckExploration(const obs::JsonValue* exploration) {
+  Require(exploration != nullptr && exploration->is_object(), "exploration object");
+  if (exploration == nullptr) {
+    return;
+  }
+  for (const char* key : {"runs", "decisions", "paths_produced", "paths_merged",
+                          "merge_rounds", "summary_restarts", "live_path_peak"}) {
+    RequireNumberKey(*exploration, key);
+  }
+}
+
 void CheckRunReport(const obs::JsonValue& report, bool expect_exploration) {
   const obs::JsonValue* schema = RequireKey(report, "schema");
   Require(schema != nullptr && schema->string_value == "symple.run_report/1",
@@ -82,8 +93,16 @@ void CheckRunReport(const obs::JsonValue& report, bool expect_exploration) {
     RequireNumberKey(*degrades, "events");
     const obs::JsonValue* reasons = RequireKey(*degrades, "reasons");
     Require(reasons != nullptr && reasons->is_object(), "degrades.reasons is an object");
+    if (reasons != nullptr) {
+      for (const char* key : {"forced", "path_explosion", "path_budget", "summary_bytes",
+                              "overflow", "unsupported_op", "wire_corrupt", "other",
+                              "memory_budget"}) {
+        RequireNumberKey(*reasons, key);
+      }
+    }
   }
   const obs::JsonValue* exploration = RequireKey(report, "exploration");
+  CheckExploration(exploration);
   if (exploration != nullptr && expect_exploration) {
     const obs::JsonValue* runs = exploration->Find("runs");
     Require(runs != nullptr && runs->number > 0, "symple exploration.runs > 0");
@@ -269,7 +288,8 @@ int main() {
     std::string error;
     Require(obs::ParseJson(reports[i].ToJson(), &doc, &error),
             "run report " + reports[i].engine + " parses: " + error);
-    CheckRunReport(doc, /*expect_exploration=*/reports[i].engine == "symple");
+    CheckRunReport(doc, /*expect_exploration=*/reports[i].engine == "symple" ||
+                            reports[i].engine == "symple_forked");
   }
 
   // --- validate the Chrome trace ------------------------------------------------
@@ -330,7 +350,7 @@ int main() {
           RequireNumberKey(*stats, "spill_bytes");
           RequireNumberKey(*stats, "spill_merge_ms");
           RequireNumberKey(*stats, "peak_tracked_bytes");
-          RequireKey(*stats, "exploration");
+          CheckExploration(RequireKey(*stats, "exploration"));
         }
       }
     }

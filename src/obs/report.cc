@@ -1,11 +1,35 @@
 #include "obs/report.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "obs/json.h"
 
 namespace symple {
 namespace obs {
+
+MapTaskObs& MapTaskObs::operator+=(const MapTaskObs& o) {
+  if (o.end_us > 0) {
+    start_us = end_us > 0 ? std::min(start_us, o.start_us) : o.start_us;
+    end_us = std::max(end_us, o.end_us);
+  }
+  cpu_ms += o.cpu_ms;
+  records += o.records;
+  parsed += o.parsed;
+  packets += o.packets;
+  bytes += o.bytes;
+  summaries += o.summaries;
+  summary_paths += o.summary_paths;
+  exploration += o.exploration;
+  group_map += o.group_map;
+  maxrss_kb = std::max(maxrss_kb, o.maxrss_kb);
+  morsels += o.morsels;
+  stolen_morsels += o.stolen_morsels;
+  queue_wait_us.Merge(o.queue_wait_us);
+  paths_per_group.Merge(o.paths_per_group);
+  summaries_per_group.Merge(o.summaries_per_group);
+  return *this;
+}
 
 void AppendHistogramJson(JsonWriter& w, const HistogramSnapshot& h) {
   w.BeginObject();
@@ -18,22 +42,6 @@ void AppendHistogramJson(JsonWriter& w, const HistogramSnapshot& h) {
   w.KV("p95", h.Quantile(0.95));
   w.EndObject();
 }
-
-namespace {
-
-void AppendExplorationJson(JsonWriter& w, const ExplorationTotals& e) {
-  w.BeginObject();
-  w.KV("runs", e.runs);
-  w.KV("decisions", e.decisions);
-  w.KV("paths_produced", e.paths_produced);
-  w.KV("paths_merged", e.paths_merged);
-  w.KV("merge_rounds", e.merge_rounds);
-  w.KV("summary_restarts", e.summary_restarts);
-  w.KV("live_path_peak", e.live_path_peak);
-  w.EndObject();
-}
-
-}  // namespace
 
 void RunReport::AppendJson(JsonWriter& w) const {
   w.BeginObject();
@@ -48,43 +56,11 @@ void RunReport::AppendJson(JsonWriter& w) const {
   w.EndObject();
 
   w.Key("totals").BeginObject();
-  w.KV("total_wall_ms", totals.total_wall_ms);
-  w.KV("map_wall_ms", totals.map_wall_ms);
-  w.KV("shuffle_wall_ms", totals.shuffle_wall_ms);
-  w.KV("reduce_wall_ms", totals.reduce_wall_ms);
-  w.KV("map_cpu_ms", totals.map_cpu_ms);
-  w.KV("reduce_cpu_ms", totals.reduce_cpu_ms);
-  w.KV("input_bytes", totals.input_bytes);
-  w.KV("input_records", totals.input_records);
-  w.KV("parsed_records", totals.parsed_records);
-  w.KV("shuffle_bytes", totals.shuffle_bytes);
-  w.KV("groups", totals.groups);
-  w.KV("reduce_partitions", totals.reduce_partitions);
-  w.KV("partition_skew", totals.partition_skew);
-  w.KV("summaries", totals.summaries);
-  w.KV("summary_paths", totals.summary_paths);
-  w.KV("throughput_mbps", totals.throughput_mbps);
-  w.KV("map_morsels", totals.map_morsels);
-  w.KV("morsel_steals", totals.morsel_steals);
-  w.KV("morsel_target_records", totals.morsel_target_records);
-  w.KV("worker_retries", totals.worker_retries);
-  w.KV("worker_timeouts", totals.worker_timeouts);
-  w.KV("worker_crashes", totals.worker_crashes);
-  w.KV("fallback_segments", totals.fallback_segments);
-  w.KV("degraded_segments", totals.degraded_segments);
-  w.KV("replayed_records", totals.replayed_records);
-  w.KV("wire_corrupt_frames", totals.wire_corrupt_frames);
-  w.KV("arena_bytes", totals.arena_bytes);
-  w.KV("rehashes", totals.rehashes);
-  w.KV("avg_probe_len", totals.avg_probe_len);
-  w.KV("spill_runs", totals.spill_runs);
-  w.KV("spill_bytes", totals.spill_bytes);
-  w.KV("spill_merge_ms", totals.spill_merge_ms);
-  w.KV("peak_tracked_bytes", totals.peak_tracked_bytes);
+  totals.AppendTotalsFields(w);
   w.EndObject();
 
   w.Key("exploration");
-  AppendExplorationJson(w, exploration);
+  totals.AppendExplorationJson(w);
 
   w.Key("map_tasks").BeginObject();
   w.KV("count", map_task_count);
@@ -137,11 +113,8 @@ void RunReport::AppendJson(JsonWriter& w) const {
 
   w.Key("degrades").BeginObject();
   w.KV("events", degraded_segment_events);
-  w.Key("reasons").BeginObject();
-  for (const auto& [reason, count] : degrade_reasons) {
-    w.KV(reason, count);
-  }
-  w.EndObject();
+  w.Key("reasons");
+  totals.AppendDegradeReasonsJson(w);
   w.Key("messages").BeginArray();
   for (const std::string& message : degrade_messages) {
     w.String(message);
@@ -157,11 +130,7 @@ void RunReport::AppendJson(JsonWriter& w) const {
   AppendStragglersJson(w, timeline);
 
   w.Key("rusage").BeginObject();
-  w.KV("sampled", rusage.sampled);
-  w.Key("self");
-  AppendResourceUsageJson(w, rusage.self);
-  w.Key("children");
-  AppendResourceUsageJson(w, rusage.children);
+  totals.AppendRusageFields(w);
   w.Key("worker_maxrss_kb");
   AppendHistogramJson(w, worker_maxrss_kb);
   w.EndObject();
@@ -200,18 +169,17 @@ std::string FormatExplainText(const RunReport& report) {
                 report.engine.c_str());
   out += buf;
   AppendExplainText(report.timeline, &out);
-  if (report.rusage.sampled) {
+  const RunResourceUsage& rusage = report.totals.rusage;
+  if (rusage.sampled) {
     std::snprintf(buf, sizeof(buf),
                   "  resources: maxrss %llu KB self / %llu KB children, "
                   "%llu major faults, %llu invol ctx switches\n",
-                  static_cast<unsigned long long>(report.rusage.self.maxrss_kb),
-                  static_cast<unsigned long long>(report.rusage.children.maxrss_kb),
-                  static_cast<unsigned long long>(
-                      report.rusage.self.major_faults +
-                      report.rusage.children.major_faults),
-                  static_cast<unsigned long long>(
-                      report.rusage.self.invol_ctx_switches +
-                      report.rusage.children.invol_ctx_switches));
+                  static_cast<unsigned long long>(rusage.self.maxrss_kb),
+                  static_cast<unsigned long long>(rusage.children.maxrss_kb),
+                  static_cast<unsigned long long>(rusage.self.major_faults +
+                                                  rusage.children.major_faults),
+                  static_cast<unsigned long long>(rusage.self.invol_ctx_switches +
+                                                  rusage.children.invol_ctx_switches));
     out += buf;
   }
   if (report.model_error.present) {
@@ -246,34 +214,36 @@ std::string RunReport::ToJson() const {
 }
 
 RunObserver::RunObserver(std::string engine, Tracer* tracer, uint32_t trace_pid)
-    : engine_(std::move(engine)), tracer_(tracer), trace_pid_(trace_pid) {
+    : tracer_(tracer), trace_pid_(trace_pid) {
+  observed_.engine = std::move(engine);
   if (tracer_ != nullptr) {
-    tracer_->NameProcess(trace_pid_, engine_);
+    tracer_->NameProcess(trace_pid_, observed_.engine);
   }
 }
 
 void RunObserver::OnMapTask(const MapTaskObs& t) {
-  ++map_task_count_;
+  RunReport& r = observed_;
+  ++r.map_task_count;
   const uint64_t wall_us =
       t.end_us > t.start_us ? static_cast<uint64_t>(t.end_us - t.start_us) : 0;
   const uint64_t cpu_us = static_cast<uint64_t>(t.cpu_ms * 1e3);
-  map_wall_us_.Record(wall_us);
-  map_cpu_us_.Record(cpu_us);
-  map_parsed_records_.Record(t.parsed);
-  map_packets_.Record(t.packets);
-  map_shuffle_bytes_.Record(t.bytes);
-  map_summary_paths_.Record(t.summary_paths);
+  r.map_wall_us.Record(wall_us);
+  r.map_cpu_us.Record(cpu_us);
+  r.map_parsed_records.Record(t.parsed);
+  r.map_packets.Record(t.packets);
+  r.map_shuffle_bytes.Record(t.bytes);
+  r.map_summary_paths.Record(t.summary_paths);
   if (t.maxrss_kb > 0) {
-    worker_maxrss_kb_.Record(t.maxrss_kb);
+    r.worker_maxrss_kb.Record(t.maxrss_kb);
   }
   if (t.morsels > 0) {
     // Only morsel-scheduled tasks contribute: forked children run segments
     // whole, and mixing their zeros in would flatten the distribution.
-    map_morsels_per_task_.Record(t.morsels);
-    map_morsel_queue_wait_us_.Merge(t.queue_wait_us);
+    r.map_morsels_per_task.Record(t.morsels);
+    r.map_morsel_queue_wait_us.Merge(t.queue_wait_us);
   }
-  paths_per_group_.Merge(t.paths_per_group);
-  summaries_per_group_.Merge(t.summaries_per_group);
+  r.paths_per_group.Merge(t.paths_per_group);
+  r.summaries_per_group.Merge(t.summaries_per_group);
 
   // Mirror into the process-wide registry so long-lived services can scrape
   // across runs.
@@ -317,14 +287,14 @@ void RunObserver::OnMapTask(const MapTaskObs& t) {
 }
 
 void RunObserver::OnReduceTask(const ReduceTaskObs& t) {
-  ++reduce_task_count_;
+  ++observed_.reduce_task_count;
   const uint64_t wall_us =
       t.end_us > t.start_us ? static_cast<uint64_t>(t.end_us - t.start_us) : 0;
   const uint64_t cpu_us = static_cast<uint64_t>(t.cpu_ms * 1e3);
-  reduce_wall_us_.Record(wall_us);
-  reduce_cpu_us_.Record(cpu_us);
-  reduce_groups_.Record(t.groups);
-  reduce_queue_wait_us_.Merge(t.queue_wait_us);
+  observed_.reduce_wall_us.Record(wall_us);
+  observed_.reduce_cpu_us.Record(cpu_us);
+  observed_.reduce_groups.Record(t.groups);
+  observed_.reduce_queue_wait_us.Merge(t.queue_wait_us);
 
   MetricsRegistry& reg = MetricsRegistry::Global();
   reg.GetCounter("engine.reduce_tasks")->Increment();
@@ -351,10 +321,10 @@ void RunObserver::OnReduceTask(const ReduceTaskObs& t) {
 
 void RunObserver::OnShufflePartition(uint32_t partition_id, uint64_t bytes,
                                      uint64_t packets, uint64_t runs) {
-  ++shuffle_partition_count_;
-  shuffle_partition_bytes_.Record(bytes);
-  shuffle_partition_packets_.Record(packets);
-  shuffle_partition_runs_.Record(runs);
+  ++observed_.shuffle_partition_count;
+  observed_.shuffle_partition_bytes.Record(bytes);
+  observed_.shuffle_partition_packets.Record(packets);
+  observed_.shuffle_partition_runs.Record(runs);
 
   MetricsRegistry& reg = MetricsRegistry::Global();
   reg.GetCounter("engine.shuffle_partitions")->Increment();
@@ -376,7 +346,7 @@ void RunObserver::OnShufflePartition(uint32_t partition_id, uint64_t bytes,
 }
 
 void RunObserver::OnWorkerFailure(uint32_t worker_id, const std::string& kind) {
-  ++worker_failures_;
+  ++observed_.worker_failures;
   MetricsRegistry& reg = MetricsRegistry::Global();
   reg.GetCounter("engine.worker_failures")->Increment();
   reg.GetCounter("engine.worker_failures." + kind)->Increment();
@@ -397,9 +367,9 @@ void RunObserver::OnSegmentDegraded(uint32_t segment_id,
                                     const std::string& reason,
                                     const std::string& message,
                                     double replay_ms) {
-  ++degraded_segment_events_;
-  if (degrade_messages_.size() < kMaxDegradeMessages && !message.empty()) {
-    degrade_messages_.push_back(message);
+  ++observed_.degraded_segment_events;
+  if (observed_.degrade_messages.size() < kMaxDegradeMessages && !message.empty()) {
+    observed_.degrade_messages.push_back(message);
   }
   MetricsRegistry& reg = MetricsRegistry::Global();
   reg.GetCounter("engine.degraded_segments")->Increment();
@@ -444,31 +414,7 @@ void RunObserver::OnPhase(const std::string& name, double start_us, double end_u
 }
 
 void RunObserver::FillReport(RunReport* report) const {
-  report->engine = engine_;
-  report->map_task_count = map_task_count_;
-  report->map_wall_us = map_wall_us_;
-  report->map_cpu_us = map_cpu_us_;
-  report->map_parsed_records = map_parsed_records_;
-  report->map_packets = map_packets_;
-  report->map_shuffle_bytes = map_shuffle_bytes_;
-  report->map_summary_paths = map_summary_paths_;
-  report->map_morsels_per_task = map_morsels_per_task_;
-  report->map_morsel_queue_wait_us = map_morsel_queue_wait_us_;
-  report->reduce_task_count = reduce_task_count_;
-  report->reduce_wall_us = reduce_wall_us_;
-  report->reduce_cpu_us = reduce_cpu_us_;
-  report->reduce_groups = reduce_groups_;
-  report->reduce_queue_wait_us = reduce_queue_wait_us_;
-  report->shuffle_partition_count = shuffle_partition_count_;
-  report->shuffle_partition_bytes = shuffle_partition_bytes_;
-  report->shuffle_partition_packets = shuffle_partition_packets_;
-  report->shuffle_partition_runs = shuffle_partition_runs_;
-  report->paths_per_group = paths_per_group_;
-  report->summaries_per_group = summaries_per_group_;
-  report->worker_failures = worker_failures_;
-  report->worker_maxrss_kb = worker_maxrss_kb_;
-  report->degraded_segment_events = degraded_segment_events_;
-  report->degrade_messages = degrade_messages_;
+  *report = observed_;
   report->dropped_spans = tracer_ != nullptr ? tracer_->dropped() : 0;
 }
 

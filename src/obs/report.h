@@ -1,12 +1,13 @@
 // Run reporting: per-task observations collected during one engine run and
 // serialized as a stable, machine-readable JSON RunReport.
 //
-// Layering: obs knows nothing about the engines. The runtime fills the plain
-// observation structs below; RunObserver folds them into per-task histograms,
-// mirrors them into the global MetricsRegistry, and (when a Tracer is
-// attached) emits one trace span per task. EngineStats in src/runtime remains
-// the stable whole-run snapshot; the RunReport embeds those totals plus the
-// per-task distributions the snapshot cannot carry.
+// Layering: obs knows nothing about how the engines schedule work. The
+// runtime fills the per-task structs below; RunObserver folds them into
+// per-task histograms, mirrors them into the global MetricsRegistry, and (when
+// a Tracer is attached) emits one trace span per task. The whole-run counters
+// are the runtime's own plain-data EngineStats (runtime/engine_stats.h),
+// embedded as RunReport::totals next to the per-task distributions it cannot
+// carry — obs keeps no second copy of any counter.
 #ifndef SYMPLE_OBS_REPORT_H_
 #define SYMPLE_OBS_REPORT_H_
 
@@ -19,70 +20,20 @@
 #include "obs/resource.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
+#include "runtime/engine_stats.h"
 
 namespace symple {
 namespace obs {
 
 class JsonWriter;
 
-// Mirror of the runtime's symbolic-exploration counters (plain fields so obs
-// stays independent of src/core).
-struct ExplorationTotals {
-  uint64_t runs = 0;
-  uint64_t decisions = 0;
-  uint64_t paths_produced = 0;
-  uint64_t paths_merged = 0;
-  uint64_t merge_rounds = 0;
-  uint64_t summary_restarts = 0;
-  uint64_t live_path_peak = 0;
-};
-
-// Whole-run totals (mirror of EngineStats).
-struct RunTotals {
-  double total_wall_ms = 0;
-  double map_wall_ms = 0;
-  double shuffle_wall_ms = 0;
-  double reduce_wall_ms = 0;
-  double map_cpu_ms = 0;
-  double reduce_cpu_ms = 0;
-  uint64_t input_bytes = 0;
-  uint64_t input_records = 0;
-  uint64_t parsed_records = 0;
-  uint64_t shuffle_bytes = 0;
-  uint64_t groups = 0;
-  uint64_t reduce_partitions = 0;
-  double partition_skew = 0;  // max/mean partition bytes; see EngineStats
-  uint64_t summaries = 0;
-  uint64_t summary_paths = 0;
-  double throughput_mbps = 0;
-  // Morsel-driven map scheduling (docs/scheduling.md; see EngineStats).
-  uint64_t map_morsels = 0;
-  uint64_t morsel_steals = 0;
-  uint64_t morsel_target_records = 0;
-  // Forked-mode fault tolerance (see EngineStats).
-  uint64_t worker_retries = 0;
-  uint64_t worker_timeouts = 0;
-  uint64_t worker_crashes = 0;
-  uint64_t fallback_segments = 0;
-  // Symbolic→concrete degradation (see EngineStats).
-  uint64_t degraded_segments = 0;
-  uint64_t replayed_records = 0;
-  uint64_t wire_corrupt_frames = 0;
-  // Group-table counters (core/flat_group_map.h, docs/group_map.md).
-  uint64_t arena_bytes = 0;
-  uint64_t rehashes = 0;
-  double avg_probe_len = 0;
-  // Memory-budgeted execution (docs/spill.md; see EngineStats).
-  uint64_t spill_runs = 0;
-  uint64_t spill_bytes = 0;
-  double spill_merge_ms = 0;
-  uint64_t peak_tracked_bytes = 0;
-};
-
-// One completed map task, reported by the engine after the task finished.
+// One map task: the per-task map counters, filled by the map bodies. The
+// morsel loop sums a segment's morsels with +=, forked workers ship a
+// segment's counters with its commit, and either way the engine folds each
+// finished task into EngineStats (internal::FoldMapTask) and reports it here.
 struct MapTaskObs {
   uint32_t mapper_id = 0;
-  double start_us = 0;  // on the observer's clock (NowUs)
+  double start_us = 0;  // on the observer's clock (NowUs); 0/0 without one
   double end_us = 0;
   double cpu_ms = 0;
   uint64_t records = 0;  // input records scanned
@@ -91,6 +42,9 @@ struct MapTaskObs {
   uint64_t bytes = 0;    // serialized packet bytes emitted
   uint64_t summaries = 0;
   uint64_t summary_paths = 0;
+  ExplorationStats exploration;
+  // Group-table allocation/probing counters (core/flat_group_map.h).
+  GroupMapStats group_map;
   // Peak resident set of the forked worker that ran this task (from wait4 at
   // reap time); 0 for in-process tasks.
   uint64_t maxrss_kb = 0;
@@ -102,10 +56,14 @@ struct MapTaskObs {
   uint64_t morsels = 0;
   uint64_t stolen_morsels = 0;
   HistogramSnapshot queue_wait_us;
-  ExplorationTotals exploration;
-  // Per-group distributions within this task (SYMPLE engine only).
+  // Per-group distributions within this task (threaded SYMPLE map tasks
+  // only; forked workers do not ship them).
   HistogramSnapshot paths_per_group;
   HistogramSnapshot summaries_per_group;
+
+  // Adds `o`'s counters and distributions; when `o` carries a span, this
+  // task's span widens to cover it. mapper_id is left alone.
+  MapTaskObs& operator+=(const MapTaskObs& o);
 };
 
 // One completed reduce task (one reduce slot's share of the key runs).
@@ -122,6 +80,7 @@ struct ReduceTaskObs {
   // Largest single key run this task reduced, in packet bytes — the straggler
   // attribution signal: a heavy key shows up as max_run_bytes ≈ bytes.
   uint64_t max_run_bytes = 0;
+  double spill_merge_ms = 0;  // wall spent streaming spilled partitions
   // Per-run wait between reduce-stage start and this worker picking the run
   // off the shared queue (microseconds) — the skew-scheduling signal.
   HistogramSnapshot queue_wait_us;
@@ -152,8 +111,9 @@ struct RunReport {
   std::string engine;  // "sequential" | "mapreduce" | "symple" | forked variants
   std::vector<std::pair<std::string, std::string>> config;
 
-  RunTotals totals;
-  ExplorationTotals exploration;
+  // The run's counters (filled by MakeRunReport): serialized as "totals",
+  // "exploration", "degrades.reasons" and the "rusage" deltas.
+  EngineStats totals;
 
   uint64_t map_task_count = 0;
   HistogramSnapshot map_wall_us;
@@ -188,13 +148,10 @@ struct RunReport {
   // in-process fallback.
   uint64_t worker_failures = 0;
 
-  // Segment-degradation breakdown: one (reason name, count) pair per
-  // DegradeReason (filled from EngineStats by MakeRunReport; all reasons
-  // always present for a stable schema), the number of OnSegmentDegraded
-  // events observed, and a sample of the original error messages (capped at
-  // kMaxDegradeMessages — the satellite requirement that the triggering
-  // error's message survives into the run report).
-  std::vector<std::pair<std::string, uint64_t>> degrade_reasons;
+  // Segment-degradation events beyond the per-reason counts in totals: the
+  // number of OnSegmentDegraded events observed, and a sample of the original
+  // error messages (capped at kMaxDegradeMessages — the satellite requirement
+  // that the triggering error's message survives into the run report).
   uint64_t degraded_segment_events = 0;
   std::vector<std::string> degrade_messages;
 
@@ -205,9 +162,8 @@ struct RunReport {
   // tracer was attached or obs is disabled).
   RunTimeline timeline;
 
-  // Per-run rusage deltas plus the per-worker peak-RSS distribution captured
-  // via wait4 in the forked engines.
-  RunResourceUsage rusage;
+  // The per-worker peak-RSS distribution captured via wait4 in the forked
+  // engines (the run's own rusage deltas are totals.rusage).
   HistogramSnapshot worker_maxrss_kb;
 
   // Cost-model calibration: EstimateLatency vs measured stage walls.
@@ -266,45 +222,18 @@ class RunObserver {
   void OnSegmentDegraded(uint32_t segment_id, const std::string& reason,
                          const std::string& message, double replay_ms = 0);
 
-  // Folds everything observed into `report` (task histograms + counts).
+  // Overwrites `report` with everything observed (engine name, task
+  // histograms + counts, failure/degrade events, dropped spans).
   void FillReport(RunReport* report) const;
 
  private:
-  std::string engine_;
   Tracer* tracer_;
   Tracer own_clock_;  // unused for spans; provides NowUs when tracer_ is null
   uint32_t trace_pid_;
 
-  uint64_t map_task_count_ = 0;
-  HistogramSnapshot map_wall_us_;
-  HistogramSnapshot map_cpu_us_;
-  HistogramSnapshot map_parsed_records_;
-  HistogramSnapshot map_packets_;
-  HistogramSnapshot map_shuffle_bytes_;
-  HistogramSnapshot map_summary_paths_;
-  HistogramSnapshot map_morsels_per_task_;
-  HistogramSnapshot map_morsel_queue_wait_us_;
-
-  uint64_t reduce_task_count_ = 0;
-  HistogramSnapshot reduce_wall_us_;
-  HistogramSnapshot reduce_cpu_us_;
-  HistogramSnapshot reduce_groups_;
-  HistogramSnapshot reduce_queue_wait_us_;
-
-  uint64_t shuffle_partition_count_ = 0;
-  HistogramSnapshot shuffle_partition_bytes_;
-  HistogramSnapshot shuffle_partition_packets_;
-  HistogramSnapshot shuffle_partition_runs_;
-
-  HistogramSnapshot paths_per_group_;
-  HistogramSnapshot summaries_per_group_;
-
-  uint64_t worker_failures_ = 0;
-  HistogramSnapshot worker_maxrss_kb_;
-
+  // The report fields the On* callbacks fill, accumulated in place.
+  RunReport observed_;
   static constexpr size_t kMaxDegradeMessages = 8;
-  uint64_t degraded_segment_events_ = 0;
-  std::vector<std::string> degrade_messages_;  // sampled, capped
 };
 
 }  // namespace obs

@@ -17,6 +17,11 @@ constexpr const char* kStageShuffle = "shuffle";
 constexpr const char* kStageReduce = "reduce";
 constexpr const char* kStageReplay = "concrete_replay";
 
+// Straggler rule: task wall > kStragglerK x stage median, and the excess over
+// the median must exceed kStragglerMinUs (absolute noise floor).
+constexpr double kStragglerK = 2.0;
+constexpr double kStragglerMinUs = 1000;
+
 bool FindArg(const TraceSpan& span, const char* name, uint64_t* out) {
   for (const auto& [key, value] : span.args) {
     if (key == name) {
@@ -134,7 +139,7 @@ TimelineStage MakeStage(const char* name, double wall_ms, double cpu_ms,
 }
 
 void DetectStragglers(const StageScan& scan, const char* stage,
-                      const TimelineInputs& in,
+                      double partition_skew,
                       std::vector<TimelineStraggler>* out) {
   if (scan.spans.size() < 2) {
     return;  // a median over one task is not a population
@@ -146,8 +151,8 @@ void DetectStragglers(const StageScan& scan, const char* stage,
   }
   const double median_us = MedianDurationUs(durations);
   for (const TraceSpan* s : scan.spans) {
-    if (s->duration_us <= in.straggler_k * median_us ||
-        s->duration_us - median_us <= in.straggler_min_us) {
+    if (s->duration_us <= kStragglerK * median_us ||
+        s->duration_us - median_us <= kStragglerMinUs) {
       continue;
     }
     TimelineStraggler str;
@@ -171,12 +176,12 @@ void DetectStragglers(const StageScan& scan, const char* stage,
             "dominated by one key run: %llu of %llu packet bytes "
             "(partition_skew %.2f)",
             static_cast<unsigned long long>(max_run),
-            static_cast<unsigned long long>(bytes), in.partition_skew);
+            static_cast<unsigned long long>(bytes), partition_skew);
       } else {
         str.attribution = Format(
             "%llu groups, %llu packet bytes on this lane (partition_skew %.2f)",
             static_cast<unsigned long long>(groups),
-            static_cast<unsigned long long>(bytes), in.partition_skew);
+            static_cast<unsigned long long>(bytes), partition_skew);
       }
     } else if (FindArg(*s, "records", &records)) {
       uint64_t morsels = 0;
@@ -233,9 +238,9 @@ std::string LastFinisherDetail(const StageScan& scan, const char* stage) {
 }  // namespace
 
 RunTimeline BuildRunTimeline(const std::vector<TraceSpan>& spans, uint32_t pid,
-                             const TimelineInputs& in) {
+                             const EngineStats& stats) {
   RunTimeline t;
-  t.total_wall_ms = in.total_wall_ms;
+  t.total_wall_ms = stats.total_wall_ms;
 
   StageScan map_scan;
   StageScan shuffle_scan;
@@ -261,10 +266,11 @@ RunTimeline BuildRunTimeline(const std::vector<TraceSpan>& spans, uint32_t pid,
     return t;
   }
 
-  t.stages.push_back(MakeStage(kStageMap, in.map_wall_ms, in.map_cpu_ms, map_scan));
-  t.stages.push_back(MakeStage(kStageShuffle, in.shuffle_wall_ms, 0, shuffle_scan));
   t.stages.push_back(
-      MakeStage(kStageReduce, in.reduce_wall_ms, in.reduce_cpu_ms, reduce_scan));
+      MakeStage(kStageMap, stats.map_wall_ms, stats.map_cpu_ms, map_scan));
+  t.stages.push_back(MakeStage(kStageShuffle, stats.shuffle_wall_ms, 0, shuffle_scan));
+  t.stages.push_back(
+      MakeStage(kStageReduce, stats.reduce_wall_ms, stats.reduce_cpu_ms, reduce_scan));
   // Concrete replay runs inside reduce tasks, so it carries no wall of its
   // own — its busy time shows how much of the reduce stage re-parsed input.
   t.stages.push_back(MakeStage(kStageReplay, 0, 0, replay_scan));
@@ -280,9 +286,9 @@ RunTimeline BuildRunTimeline(const std::vector<TraceSpan>& spans, uint32_t pid,
     double wall_ms;
     const StageScan* scan;
   } chain[] = {
-      {kStageMap, in.map_wall_ms, &map_scan},
-      {kStageShuffle, in.shuffle_wall_ms, &shuffle_scan},
-      {kStageReduce, in.reduce_wall_ms, &reduce_scan},
+      {kStageMap, stats.map_wall_ms, &map_scan},
+      {kStageShuffle, stats.shuffle_wall_ms, &shuffle_scan},
+      {kStageReduce, stats.reduce_wall_ms, &reduce_scan},
   };
   for (const auto& link : chain) {
     if (link.wall_ms <= 0) {
@@ -296,7 +302,7 @@ RunTimeline BuildRunTimeline(const std::vector<TraceSpan>& spans, uint32_t pid,
     t.critical_path.push_back(std::move(entry));
   }
   t.critical_path_coverage =
-      in.total_wall_ms > 0 ? t.critical_path_ms / in.total_wall_ms : 0;
+      stats.total_wall_ms > 0 ? t.critical_path_ms / stats.total_wall_ms : 0;
 
   double best_wall = -1;
   for (const auto& link : chain) {
@@ -306,8 +312,8 @@ RunTimeline BuildRunTimeline(const std::vector<TraceSpan>& spans, uint32_t pid,
     }
   }
 
-  DetectStragglers(map_scan, kStageMap, in, &t.stragglers);
-  DetectStragglers(reduce_scan, kStageReduce, in, &t.stragglers);
+  DetectStragglers(map_scan, kStageMap, stats.partition_skew, &t.stragglers);
+  DetectStragglers(reduce_scan, kStageReduce, stats.partition_skew, &t.stragglers);
   return t;
 }
 

@@ -13,8 +13,8 @@
 //     attribution tying reduce stragglers back to partition_skew and key-run
 //     sizes carried on the span args.
 //
-// Layering: pure obs — inputs are TraceSpans plus a plain TimelineInputs
-// mirror of the EngineStats stage totals; no runtime headers.
+// Inputs are TraceSpans plus the run's EngineStats (runtime/engine_stats.h,
+// plain data) for the measured figures the span ring cannot carry.
 #ifndef SYMPLE_OBS_TIMELINE_H_
 #define SYMPLE_OBS_TIMELINE_H_
 
@@ -23,29 +23,12 @@
 #include <vector>
 
 #include "obs/trace.h"
+#include "runtime/engine_stats.h"
 
 namespace symple {
 namespace obs {
 
 class JsonWriter;
-
-// Measured whole-run figures the span ring cannot carry (mirrored from
-// EngineStats by the runtime). Stage walls are authoritative here; spans
-// provide the per-task detail inside each stage.
-struct TimelineInputs {
-  double total_wall_ms = 0;
-  double map_wall_ms = 0;
-  double shuffle_wall_ms = 0;
-  double reduce_wall_ms = 0;
-  double map_cpu_ms = 0;
-  double reduce_cpu_ms = 0;
-  double partition_skew = 0;  // max/mean partition bytes
-  uint64_t replayed_records = 0;
-  // Straggler rule: task wall > straggler_k * stage median, and the excess
-  // over the median must exceed straggler_min_us (absolute noise floor).
-  double straggler_k = 2.0;
-  double straggler_min_us = 1000;
-};
 
 struct TimelineStage {
   std::string name;      // "map" | "shuffle" | "reduce" | "concrete_replay"
@@ -97,9 +80,12 @@ struct RunTimeline {
   std::vector<TimelineStraggler> stragglers;  // sorted by ratio, descending
 };
 
-// Builds the timeline from `spans` belonging to trace-process `pid`.
+// Builds the timeline from `spans` belonging to trace-process `pid`. The
+// stage walls, stage CPU and partition skew come from `stats`: measured
+// stage walls are authoritative, spans provide the per-task detail inside
+// each stage.
 RunTimeline BuildRunTimeline(const std::vector<TraceSpan>& spans, uint32_t pid,
-                             const TimelineInputs& in);
+                             const EngineStats& stats);
 
 // JSON values for the RunReport keys (objects/arrays, no surrounding key).
 void AppendTimelineJson(JsonWriter& w, const RunTimeline& t);

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 
+#include "obs/report.h"
 #include "runtime/engine_stats.h"
 
 namespace symple {

@@ -220,35 +220,18 @@ inline obs::RunReport MakeRunReport(const std::string& query,
       {"memory_budget_bytes", std::to_string(options.memory_budget_bytes)},
       {"spill_dir", options.spill_dir},
   };
-  report.totals = stats.ToRunTotals();
-  report.exploration = stats.ToExplorationTotals();
-  report.degrade_reasons.clear();
-  for (size_t i = 0; i < kDegradeReasonCount; ++i) {
-    report.degrade_reasons.emplace_back(
-        DegradeReasonName(static_cast<DegradeReason>(i)),
-        stats.degrade_reasons[i]);
-  }
+  report.totals = stats;
 
-  // Run analyzer: rusage deltas, cost-model calibration, and — when a tracer
-  // was attached — the span ring folded into the timeline model.
-  report.rusage = stats.rusage;
+  // Run analyzer: cost-model calibration and — when a tracer was attached —
+  // the span ring folded into the timeline model.
   // The sequential engine runs one slot regardless of options; validating the
   // model against the configured slot count would fabricate parallelism.
   const bool sequential = engine_name == "sequential";
   report.model_error = ValidateCostModel(stats, sequential ? 1 : options.map_slots,
                                          sequential ? 1 : options.reduce_slots);
   if (observer != nullptr && observer->tracer() != nullptr) {
-    obs::TimelineInputs in;
-    in.total_wall_ms = stats.total_wall_ms;
-    in.map_wall_ms = stats.map_wall_ms;
-    in.shuffle_wall_ms = stats.shuffle_wall_ms;
-    in.reduce_wall_ms = stats.reduce_wall_ms;
-    in.map_cpu_ms = stats.map_cpu_ms;
-    in.reduce_cpu_ms = stats.reduce_cpu_ms;
-    in.partition_skew = stats.partition_skew;
-    in.replayed_records = stats.replayed_records;
     report.timeline = obs::BuildRunTimeline(observer->tracer()->Spans(),
-                                            observer->trace_pid(), in);
+                                            observer->trace_pid(), stats);
   }
   return report;
 }
@@ -1008,6 +991,23 @@ inline void FoldDegrades(DegradeAccounting& acct, EngineStats* stats,
   acct.events.clear();
 }
 
+// The task-to-run fold: adds one finished map task's counters to the run's
+// totals. Every executor calls it once per task — per segment in the morsel
+// loop, per committed segment in the forked drain, once for the sequential
+// scan — so a counter a map body fills reaches EngineStats the same way in
+// every engine.
+inline void FoldMapTask(const obs::MapTaskObs& t, EngineStats* stats) {
+  stats->map_cpu_ms += t.cpu_ms;
+  stats->parsed_records += t.parsed;
+  stats->shuffle_bytes += t.bytes;
+  stats->summaries += t.summaries;
+  stats->summary_paths += t.summary_paths;
+  stats->map_morsels += t.morsels;
+  stats->morsel_steals += t.stolen_morsels;
+  stats->exploration += t.exploration;
+  stats->group_map += t.group_map;
+}
+
 }  // namespace internal
 
 // --- Sequential baseline ------------------------------------------------------
@@ -1018,7 +1018,9 @@ RunResult<Query> RunSequential(const Dataset& data, const EngineOptions& options
   using State = typename Query::State;
 
   obs::RunObserver* observer = options.observer;
-  const double obs_start = observer != nullptr ? observer->NowUs() : 0;
+  // The whole scan is one logical map task (mapper 0, no shuffle/reduce).
+  obs::MapTaskObs task;
+  task.start_us = observer != nullptr ? observer->NowUs() : 0;
   const internal::ResourceScope resources;
   const auto t0 = std::chrono::steady_clock::now();
   const double cpu0 = internal::ThreadCpuMs();
@@ -1037,12 +1039,12 @@ RunResult<Query> RunSequential(const Dataset& data, const EngineOptions& options
   for (const std::string& segment : data.segments) {
     LineCursor cursor(segment);
     while (const auto line = cursor.Next()) {
-      ++result.stats.input_records;
+      ++task.records;
       auto rec = Query::Parse(*line);
       if (!rec.has_value()) {
         continue;
       }
-      ++result.stats.parsed_records;
+      ++task.parsed;
       Query::Update(*states.GetOrEmplace(rec->first).first, rec->second);
     }
   }
@@ -1053,23 +1055,18 @@ RunResult<Query> RunSequential(const Dataset& data, const EngineOptions& options
   }
   result.stats.groups = states.size();
   result.stats.peak_tracked_bytes = budget.peak_bytes();
-  result.stats.group_map += states.stats();
+  task.group_map = states.stats();
   // Thread CPU, not wall: time the scan spent blocked or descheduled is not
   // map work (the Figure 7 CPU metric).
-  result.stats.map_cpu_ms = internal::ThreadCpuMs() - cpu0;
+  task.cpu_ms = internal::ThreadCpuMs() - cpu0;
+  result.stats.input_records = task.records;
+  internal::FoldMapTask(task, &result.stats);
   result.stats.total_wall_ms = internal::MsSince(t0);
   result.stats.map_wall_ms = result.stats.total_wall_ms;
   resources.Fold(&result.stats);
   if (observer != nullptr) {
-    // The whole scan is one logical map task (mapper 0, no shuffle/reduce).
-    obs::MapTaskObs t;
-    t.mapper_id = 0;
-    t.start_us = obs_start;
-    t.end_us = observer->NowUs();
-    t.cpu_ms = result.stats.map_cpu_ms;
-    t.records = result.stats.input_records;
-    t.parsed = result.stats.parsed_records;
-    observer->OnMapTask(t);
+    task.end_us = observer->NowUs();
+    observer->OnMapTask(task);
   }
   return result;
 }
@@ -1077,39 +1074,6 @@ RunResult<Query> RunSequential(const Dataset& data, const EngineOptions& options
 // --- Shared map/shuffle/reduce scaffolding ------------------------------------
 
 namespace internal {
-
-// Counters one map body invocation fills; RunMapPhase folds them per segment
-// into EngineStats and the segment's MapTaskObs.
-struct TaskStats {
-  double cpu_ms = 0;
-  uint64_t records = 0;  // input records scanned
-  uint64_t parsed = 0;
-  uint64_t packets = 0;  // shuffle packets emitted by this task
-  uint64_t bytes = 0;    // serialized bytes of those packets
-  ExplorationStats exploration;
-  uint64_t summaries = 0;
-  uint64_t summary_paths = 0;
-  // Group-table allocation/probing counters (core/flat_group_map.h).
-  GroupMapStats group_map;
-  // Task wall span on the observer clock; 0/0 when no observer is attached.
-  double start_us = 0;
-  double end_us = 0;
-  // Per-group fan-out within this task (SYMPLE map tasks only).
-  obs::HistogramSnapshot paths_per_group;
-  obs::HistogramSnapshot summaries_per_group;
-};
-
-inline obs::ExplorationTotals ToObsExploration(const ExplorationStats& e) {
-  obs::ExplorationTotals t;
-  t.runs = e.runs;
-  t.decisions = e.decisions;
-  t.paths_produced = e.paths_produced;
-  t.paths_merged = e.paths_merged;
-  t.merge_rounds = e.merge_rounds;
-  t.summary_restarts = e.summary_restarts;
-  t.live_path_peak = e.live_path_peak;
-  return t;
-}
 
 // --- morsel-driven map scheduling (docs/scheduling.md) --------------------------
 
@@ -1231,10 +1195,7 @@ void RunMapPhase(const std::vector<std::string>& segments,
   // queue waits layered on top.
   struct SegmentAgg {
     std::mutex mu;
-    TaskStats ts;
-    uint64_t morsel_count = 0;
-    uint64_t stolen = 0;
-    obs::HistogramSnapshot queue_wait_us;
+    obs::MapTaskObs task;
   };
   std::vector<SegmentAgg> seg_aggs(segments.size());
   StealingIndexQueues queues(workers);
@@ -1257,11 +1218,13 @@ void RunMapPhase(const std::vector<std::string>& segments,
           const std::string_view chunk =
               std::string_view(segments[m.segment])
                   .substr(m.byte_begin, m.byte_end - m.byte_begin);
-          TaskStats mts;
-          double pop_us = 0;
+          obs::MapTaskObs mts;
+          mts.morsels = 1;
+          mts.stolen_morsels = stolen ? 1 : 0;
           if (observer != nullptr) {
-            pop_us = observer->NowUs();
-            mts.start_us = pop_us;
+            mts.start_us = observer->NowUs();
+            const double wait = mts.start_us - obs_map_start;
+            mts.queue_wait_us.Record(wait > 0 ? static_cast<uint64_t>(wait) : 0);
           }
           const double cpu0 = ThreadCpuMs();
           std::vector<Packet> packets;
@@ -1295,34 +1258,11 @@ void RunMapPhase(const std::vector<std::string>& segments,
           if (observer != nullptr) {
             mts.end_us = observer->NowUs();
           }
+          // The segment's span covers its first morsel start to its last
+          // morsel end (morsels of one segment may interleave with steals).
           SegmentAgg& agg = seg_aggs[m.segment];
           std::lock_guard<std::mutex> lock(agg.mu);
-          TaskStats& ts = agg.ts;
-          ts.cpu_ms += mts.cpu_ms;
-          ts.records += mts.records;
-          ts.parsed += mts.parsed;
-          ts.packets += mts.packets;
-          ts.bytes += mts.bytes;
-          ts.exploration += mts.exploration;
-          ts.summaries += mts.summaries;
-          ts.summary_paths += mts.summary_paths;
-          ts.group_map += mts.group_map;
-          ts.paths_per_group.Merge(mts.paths_per_group);
-          ts.summaries_per_group.Merge(mts.summaries_per_group);
-          if (observer != nullptr) {
-            // The segment's span covers its first morsel start to its last
-            // morsel end (morsels of one segment may interleave with steals).
-            ts.start_us = ts.start_us == 0 ? mts.start_us
-                                           : std::min(ts.start_us, mts.start_us);
-            ts.end_us = std::max(ts.end_us, mts.end_us);
-            const double wait = pop_us - obs_map_start;
-            agg.queue_wait_us.Record(
-                wait > 0 ? static_cast<uint64_t>(wait) : 0);
-          }
-          ++agg.morsel_count;
-          if (stolen) {
-            ++agg.stolen;
-          }
+          agg.task += mts;
         }
       });
     }
@@ -1331,37 +1271,12 @@ void RunMapPhase(const std::vector<std::string>& segments,
   if (!map_error.empty()) {
     throw SympleIoError("map stage failed: " + map_error);
   }
-  stats->map_morsels += morsels.size();
-  stats->morsel_steals += queues.steals();
   for (const uint32_t m : segment_ids) {
-    SegmentAgg& agg = seg_aggs[m];
-    const TaskStats& ts = agg.ts;
-    stats->map_cpu_ms += ts.cpu_ms;
-    stats->parsed_records += ts.parsed;
-    stats->exploration += ts.exploration;
-    stats->summaries += ts.summaries;
-    stats->summary_paths += ts.summary_paths;
-    stats->shuffle_bytes += ts.bytes;
-    stats->group_map += ts.group_map;
+    obs::MapTaskObs& task = seg_aggs[m].task;
+    task.mapper_id = m;
+    FoldMapTask(task, stats);
     if (observer != nullptr) {
-      obs::MapTaskObs t;
-      t.mapper_id = m;
-      t.start_us = ts.start_us;
-      t.end_us = ts.end_us;
-      t.cpu_ms = ts.cpu_ms;
-      t.records = ts.records;
-      t.parsed = ts.parsed;
-      t.packets = ts.packets;
-      t.bytes = ts.bytes;
-      t.summaries = ts.summaries;
-      t.summary_paths = ts.summary_paths;
-      t.morsels = agg.morsel_count;
-      t.stolen_morsels = agg.stolen;
-      t.queue_wait_us = agg.queue_wait_us;
-      t.exploration = ToObsExploration(ts.exploration);
-      t.paths_per_group = ts.paths_per_group;
-      t.summaries_per_group = ts.summaries_per_group;
-      observer->OnMapTask(t);
+      observer->OnMapTask(task);
     }
   }
 }
@@ -1480,20 +1395,9 @@ void RunShuffleAndReduce(ShuffleBuffer<Key>&& shuffle, size_t slots,
                       shuffle.total_packets(), "packets");
   }
 
-  struct ReduceTaskStats {
-    double cpu_ms = 0;
-    double start_us = 0;
-    double end_us = 0;
-    uint64_t groups = 0;
-    uint64_t packets = 0;
-    uint64_t bytes = 0;          // serialized bytes of the runs consumed
-    uint64_t max_run_bytes = 0;  // heaviest single key run — skew attribution
-    double spill_merge_ms = 0;   // wall spent streaming spilled partitions
-    obs::HistogramSnapshot queue_wait_us;
-  };
   const double obs_reduce_start = observer != nullptr ? observer->NowUs() : 0;
   const auto t_reduce = std::chrono::steady_clock::now();
-  std::vector<ReduceTaskStats> task_stats(slots == 0 ? 1 : slots);
+  std::vector<obs::ReduceTaskObs> task_stats(slots == 0 ? 1 : slots);
   std::atomic<size_t> next_run{0};
   // ThreadPool tasks must not leak exceptions: a failed disk merge is
   // captured here and rethrown from the coordinator after quiesce. (Spill
@@ -1507,7 +1411,8 @@ void RunShuffleAndReduce(ShuffleBuffer<Key>&& shuffle, size_t slots,
       pool.Submit([r, slots = task_stats.size(), schedule, obs_reduce_start, &next_run,
                    &runs, &shuffle, &reduce_key, &task_stats, observer, spill,
                    &merge_err_mu, &merge_error] {
-        ReduceTaskStats& ts = task_stats[r];
+        obs::ReduceTaskObs& ts = task_stats[r];
+        ts.reducer_id = static_cast<uint32_t>(r);
         if (observer != nullptr) {
           ts.start_us = observer->NowUs();
         }
@@ -1575,23 +1480,13 @@ void RunShuffleAndReduce(ShuffleBuffer<Key>&& shuffle, size_t slots,
     stats->spill_runs += spill->total_runs();
     stats->spill_bytes += spill->total_bytes();
   }
-  for (size_t r = 0; r < task_stats.size(); ++r) {
-    stats->reduce_cpu_ms += task_stats[r].cpu_ms;
-    stats->groups += task_stats[r].groups;
-    stats->spill_merge_ms += task_stats[r].spill_merge_ms;
-    if (observer != nullptr && task_stats[r].groups > 0) {
+  for (const obs::ReduceTaskObs& t : task_stats) {
+    stats->reduce_cpu_ms += t.cpu_ms;
+    stats->groups += t.groups;
+    stats->spill_merge_ms += t.spill_merge_ms;
+    if (observer != nullptr && t.groups > 0) {
       // Idle workers (groups < slots) are suppressed: a 0-group worker is a
       // scheduling artifact, not a reduce task.
-      obs::ReduceTaskObs t;
-      t.reducer_id = static_cast<uint32_t>(r);
-      t.start_us = task_stats[r].start_us;
-      t.end_us = task_stats[r].end_us;
-      t.cpu_ms = task_stats[r].cpu_ms;
-      t.groups = task_stats[r].groups;
-      t.packets = task_stats[r].packets;
-      t.bytes = task_stats[r].bytes;
-      t.max_run_bytes = task_stats[r].max_run_bytes;
-      t.queue_wait_us = task_stats[r].queue_wait_us;
       observer->OnReduceTask(t);
     }
   }
@@ -1638,7 +1533,7 @@ struct MapTaskTable {
 template <typename Query>
 std::vector<ShufflePacket<typename Query::Key>> BaselineMapSegment(
     std::string_view segment, uint32_t mapper_id, uint64_t first_record,
-    TaskStats* ts, size_t capacity_hint = 0, MemoryBudget* budget = nullptr,
+    obs::MapTaskObs* ts, size_t capacity_hint = 0, MemoryBudget* budget = nullptr,
     const PacketSink<typename Query::Key>& sink = {}) {
   using Key = typename Query::Key;
   struct GroupBuffer {
@@ -1761,7 +1656,7 @@ template <typename Query>
 std::vector<ShufflePacket<typename Query::Key>> SympleMapSegment(
     std::string_view segment, uint32_t mapper_id, uint64_t first_record,
     const AggregatorOptions& options, const DegradeBudgets& budgets,
-    TaskStats* ts, size_t capacity_hint = 0, MemoryBudget* budget = nullptr,
+    obs::MapTaskObs* ts, size_t capacity_hint = 0, MemoryBudget* budget = nullptr,
     const PacketSink<typename Query::Key>& sink = {}) {
   using Key = typename Query::Key;
   using State = typename Query::State;
@@ -2145,7 +2040,8 @@ struct RowsBody {
   size_t seg_hint;
 
   std::vector<Packet> Map(std::string_view chunk, uint32_t segment_id,
-                          uint64_t first_record, TaskStats* ts, MemoryBudget* budget,
+                          uint64_t first_record, obs::MapTaskObs* ts,
+                          MemoryBudget* budget,
                           const PacketSink<Key>& sink) const {
     return BaselineMapSegment<Query>(chunk, segment_id, first_record, ts, seg_hint,
                                      budget, sink);
@@ -2182,7 +2078,8 @@ struct SummariesBody {
   size_t seg_hint;
 
   std::vector<Packet> Map(std::string_view chunk, uint32_t segment_id,
-                          uint64_t first_record, TaskStats* ts, MemoryBudget* budget,
+                          uint64_t first_record, obs::MapTaskObs* ts,
+                          MemoryBudget* budget,
                           const PacketSink<Key>& sink) const {
     return SympleMapSegment<Query>(chunk, segment_id, first_record, options.aggregator,
                                    options.budgets, ts, seg_hint, budget, sink);

@@ -1,8 +1,9 @@
 // Measured statistics of one engine run — the raw material for every
 // evaluation figure (throughput, shuffle bytes, CPU seconds) and for the
-// cluster cost model. This struct is the *stable snapshot view*; per-task
-// distributions and traces live in the observability subsystem (src/obs),
-// which mirrors these totals into its machine-readable RunReport.
+// cluster cost model. This struct is the *stable snapshot view* and the one
+// definition of every run counter: the observability subsystem (src/obs)
+// embeds it as RunReport::totals and serializes it through the emitters
+// below, next to the per-task distributions and traces it collects itself.
 #ifndef SYMPLE_RUNTIME_ENGINE_STATS_H_
 #define SYMPLE_RUNTIME_ENGINE_STATS_H_
 
@@ -13,7 +14,6 @@
 #include "core/exec_context.h"
 #include "core/flat_group_map.h"
 #include "obs/json.h"
-#include "obs/report.h"
 #include "obs/resource.h"
 
 namespace symple {
@@ -188,60 +188,11 @@ struct EngineStats {
     return out;
   }
 
-  // Mirror into the observability report's plain totals struct.
-  obs::RunTotals ToRunTotals() const {
-    obs::RunTotals t;
-    t.total_wall_ms = total_wall_ms;
-    t.map_wall_ms = map_wall_ms;
-    t.shuffle_wall_ms = shuffle_wall_ms;
-    t.reduce_wall_ms = reduce_wall_ms;
-    t.map_cpu_ms = map_cpu_ms;
-    t.reduce_cpu_ms = reduce_cpu_ms;
-    t.input_bytes = input_bytes;
-    t.input_records = input_records;
-    t.parsed_records = parsed_records;
-    t.shuffle_bytes = shuffle_bytes;
-    t.groups = groups;
-    t.reduce_partitions = reduce_partitions;
-    t.partition_skew = partition_skew;
-    t.summaries = summaries;
-    t.summary_paths = summary_paths;
-    t.throughput_mbps = ThroughputMBps();
-    t.map_morsels = map_morsels;
-    t.morsel_steals = morsel_steals;
-    t.morsel_target_records = morsel_target_records;
-    t.worker_retries = worker_retries;
-    t.worker_timeouts = worker_timeouts;
-    t.worker_crashes = worker_crashes;
-    t.fallback_segments = fallback_segments;
-    t.degraded_segments = degraded_segments;
-    t.replayed_records = replayed_records;
-    t.wire_corrupt_frames = wire_corrupt_frames;
-    t.arena_bytes = group_map.arena_bytes;
-    t.rehashes = group_map.rehashes;
-    t.avg_probe_len = group_map.AvgProbeLen();
-    t.spill_runs = spill_runs;
-    t.spill_bytes = spill_bytes;
-    t.spill_merge_ms = spill_merge_ms;
-    t.peak_tracked_bytes = peak_tracked_bytes;
-    return t;
-  }
+  // JSON emitters, shared by the bench "stats" object (AppendJson) and the
+  // RunReport, which places the same pieces under its own keys.
 
-  obs::ExplorationTotals ToExplorationTotals() const {
-    obs::ExplorationTotals e;
-    e.runs = exploration.runs;
-    e.decisions = exploration.decisions;
-    e.paths_produced = exploration.paths_produced;
-    e.paths_merged = exploration.paths_merged;
-    e.merge_rounds = exploration.merge_rounds;
-    e.summary_restarts = exploration.summary_restarts;
-    e.live_path_peak = exploration.live_path_peak;
-    return e;
-  }
-
-  // Appends the snapshot as a JSON object (used by the bench emitter).
-  void AppendJson(obs::JsonWriter& w) const {
-    w.BeginObject();
+  // The scalar totals, as key/value pairs of the enclosing open object.
+  void AppendTotalsFields(obs::JsonWriter& w) const {
     w.KV("total_wall_ms", total_wall_ms);
     w.KV("map_wall_ms", map_wall_ms);
     w.KV("shuffle_wall_ms", shuffle_wall_ms);
@@ -275,19 +226,29 @@ struct EngineStats {
     w.KV("spill_bytes", spill_bytes);
     w.KV("spill_merge_ms", spill_merge_ms);
     w.KV("peak_tracked_bytes", peak_tracked_bytes);
-    w.Key("degrade_reasons").BeginObject();
+  }
+
+  // {reason name: segments} over every DegradeReason, so the schema is
+  // stable whether or not anything degraded.
+  void AppendDegradeReasonsJson(obs::JsonWriter& w) const {
+    w.BeginObject();
     for (size_t i = 0; i < kDegradeReasonCount; ++i) {
       w.KV(DegradeReasonName(static_cast<DegradeReason>(i)), degrade_reasons[i]);
     }
     w.EndObject();
-    w.Key("rusage").BeginObject();
+  }
+
+  // The rusage deltas, as key/value pairs of the enclosing open object.
+  void AppendRusageFields(obs::JsonWriter& w) const {
     w.KV("sampled", rusage.sampled);
     w.Key("self");
     obs::AppendResourceUsageJson(w, rusage.self);
     w.Key("children");
     obs::AppendResourceUsageJson(w, rusage.children);
-    w.EndObject();
-    w.Key("exploration").BeginObject();
+  }
+
+  void AppendExplorationJson(obs::JsonWriter& w) const {
+    w.BeginObject();
     w.KV("runs", exploration.runs);
     w.KV("decisions", exploration.decisions);
     w.KV("paths_produced", exploration.paths_produced);
@@ -296,6 +257,19 @@ struct EngineStats {
     w.KV("summary_restarts", exploration.summary_restarts);
     w.KV("live_path_peak", exploration.live_path_peak);
     w.EndObject();
+  }
+
+  // Appends the snapshot as one JSON object (used by the bench emitter).
+  void AppendJson(obs::JsonWriter& w) const {
+    w.BeginObject();
+    AppendTotalsFields(w);
+    w.Key("degrade_reasons");
+    AppendDegradeReasonsJson(w);
+    w.Key("rusage").BeginObject();
+    AppendRusageFields(w);
+    w.EndObject();
+    w.Key("exploration");
+    AppendExplorationJson(w);
     w.EndObject();
   }
 };

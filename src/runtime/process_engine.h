@@ -24,15 +24,19 @@
 // Wire protocol: a stream of [u32 LE size][payload] frames. Every payload is
 // a checksummed, versioned envelope
 //
-//   [u32 LE crc][u8 type][u8 version][body]
+//   [u32 LE crc][u8 type][u8 version = 3][body]
 //
 // where the CRC-32 covers everything after the crc field (type, version and
 // body), so a single flipped bit anywhere in the payload fails validation.
 // The frame types and their bodies:
 //
 //   kFramePacket      body = [varint segment_id][serialized ShufflePacket]
-//   kFrameSegmentDone body = [varint segment_id]
+//   kFrameSegmentDone body = [varint segment_id][segment counters]
 //   kFrameStreamEnd   body = (empty)
+//
+// The segment counters are the segment's map-task counters
+// (EncodeSegmentDone), folded into the run's EngineStats when the parent
+// commits the segment's packets.
 //
 // A frame that fails envelope validation (short, bad checksum, wrong
 // version) is a "corrupt" worker failure: the worker is killed and — in the
@@ -60,6 +64,8 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -80,7 +86,7 @@ enum ForkedFrameType : uint8_t {
 // Bumped whenever the frame envelope or any body layout changes; a version
 // mismatch is indistinguishable from corruption to the parent and handled
 // the same way (kill + degrade/retry), never by guessing the old layout.
-inline constexpr uint8_t kForkedWireVersion = 2;
+inline constexpr uint8_t kForkedWireVersion = 3;
 
 // Frame payloads shorter than the envelope cannot carry a checksum.
 inline constexpr size_t kFrameEnvelopeBytes = 6;  // crc(4) + type + version
@@ -127,18 +133,84 @@ inline BinaryReader ValidateWorkerFrame(const std::vector<uint8_t>& frame,
                       frame.size() - kFrameEnvelopeBytes);
 }
 
+// The counters a kFrameSegmentDone body carries after the segment id, in wire
+// order: records, parsed, cpu_ms (the only double), summaries, summary_paths,
+// the 7 exploration counters and the 4 group-table counters. The encoder and
+// the decoder both walk this one list. Spans, packet counts and per-group
+// histograms do not cross: the parent counts packets and bytes as it commits
+// them.
+template <typename Task, typename Visit>
+void VisitSegmentCounters(Task& t, Visit&& visit) {
+  visit(t.records);
+  visit(t.parsed);
+  visit(t.cpu_ms);
+  visit(t.summaries);
+  visit(t.summary_paths);
+  visit(t.exploration.runs);
+  visit(t.exploration.decisions);
+  visit(t.exploration.paths_produced);
+  visit(t.exploration.paths_merged);
+  visit(t.exploration.merge_rounds);
+  visit(t.exploration.summary_restarts);
+  visit(t.exploration.live_path_peak);
+  visit(t.group_map.arena_bytes);
+  visit(t.group_map.rehashes);
+  visit(t.group_map.probe_lookups);
+  visit(t.group_map.probe_steps);
+}
+
+// Writes a kFrameSegmentDone body: [varint segment_id][counters].
+inline void EncodeSegmentDone(uint32_t segment_id, const obs::MapTaskObs& t,
+                              BinaryWriter* body) {
+  body->WriteVarUint(segment_id);
+  VisitSegmentCounters(t, [body](const auto& v) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(v)>, double>) {
+      body->WriteDouble(v);
+    } else {
+      body->WriteVarUint(v);
+    }
+  });
+}
+
+// Reads a kFrameSegmentDone body into *t and returns the segment id. The body
+// arrived inside a valid checksummed envelope, so a short or over-long one is
+// a worker speaking the wrong protocol rather than line noise: it throws
+// SympleIoError (a "protocol" failure, whose segments are retried), never
+// SympleWireError.
+inline uint32_t DecodeSegmentDone(BinaryReader r, obs::MapTaskObs* t) {
+  uint32_t segment_id = 0;
+  try {
+    segment_id = r.ReadVarUint32();
+    VisitSegmentCounters(*t, [&r](auto& v) {
+      if constexpr (std::is_same_v<std::decay_t<decltype(v)>, double>) {
+        v = r.ReadDouble();
+      } else {
+        v = r.ReadVarUint();
+      }
+    });
+  } catch (const SympleWireError& e) {
+    throw SympleIoError(std::string("truncated segment-done body: ") + e.what());
+  }
+  if (!r.AtEnd()) {
+    throw SympleIoError("trailing bytes after the segment-done counters");
+  }
+  return segment_id;
+}
+
 // SerializePacketFrame / DeserializePacketFrame live in runtime/engine.h:
 // the same packet layout rides both the forked pipe and spill-file blocks.
 
 // Forks workers over the dataset's segments (worker w initially owns
 // s ≡ w (mod num_processes)), drains all pipes concurrently, and recovers
 // from worker failures by re-executing incomplete segments. Committed packets
-// are routed into `shuffle`'s hash partitions as their segments complete;
-// fills shuffle_bytes plus the worker_retries / worker_timeouts /
-// worker_crashes / fallback_segments counters. With an observer attached,
-// the parent reports one observation per worker drain (per-record counters
-// die with the worker, so forked-mode reports carry coarser map-side detail
-// than the threaded engines) and one OnWorkerFailure event per kill.
+// are routed into `shuffle`'s hash partitions as their segments complete,
+// and each committed segment's counters — shipped in its segment-done frame —
+// fold into `stats` through FoldMapTask, like a threaded map task's; the
+// drain adds the worker_retries / worker_timeouts / worker_crashes /
+// fallback_segments counters. With an observer attached, the parent reports
+// one observation per worker drain (its committed segments summed, with the
+// worker's wait4 CPU and peak RSS; per-group histograms stay threaded-only)
+// and one OnWorkerFailure event per kill.
 //
 // Children run body.Map — the thread executor's map body — on whole segments
 // with no budget and no sink: a child is already one core and its own
@@ -168,9 +240,9 @@ void RunForkedMapPhase(const Dataset& data, const EngineOptions& options,
     FrameDecoder decoder;
     Clock::time_point last_progress;
     bool stream_end = false;
-    uint64_t packets = 0;
-    uint64_t bytes = 0;
-    double drain_start_us = 0;
+    // The committed segments summed, reported as one map task when the
+    // worker finishes; its span starts when the drain does.
+    obs::MapTaskObs task;
   };
 
   std::vector<std::unique_ptr<WorkerState>> workers;
@@ -209,9 +281,11 @@ void RunForkedMapPhase(const Dataset& data, const EngineOptions& options,
         BinaryWriter frame_body;
         BinaryWriter payload;
         for (const uint32_t s : w->pending) {
-          TaskStats ts;  // per-process stats die with the worker
+          // The segment's CPU covers its map body and its packet frames.
+          obs::MapTaskObs task;
+          const double cpu0 = ThreadCpuMs();
           std::vector<Packet> packets =
-              body.Map(data.segments[s], s, /*first_record=*/0, &ts,
+              body.Map(data.segments[s], s, /*first_record=*/0, &task,
                        /*budget=*/nullptr, /*sink=*/{});
           for (const Packet& p : packets) {
             frame_body.Clear();
@@ -220,8 +294,9 @@ void RunForkedMapPhase(const Dataset& data, const EngineOptions& options,
             BuildWorkerFrame(kFramePacket, frame_body, &payload);
             writer.WriteFrame(payload.buffer());
           }
+          task.cpu_ms = ThreadCpuMs() - cpu0;
           frame_body.Clear();
-          frame_body.WriteVarUint(s);
+          EncodeSegmentDone(s, task, &frame_body);
           BuildWorkerFrame(kFrameSegmentDone, frame_body, &payload);
           writer.WriteFrame(payload.buffer());
         }
@@ -235,32 +310,34 @@ void RunForkedMapPhase(const Dataset& data, const EngineOptions& options,
     }
     w->child = ChildProcess(pid);
     w->last_progress = Clock::now();
-    w->drain_start_us = observer != nullptr ? observer->NowUs() : 0;
+    w->task.mapper_id = w->spawn_seq;
+    w->task.start_us = observer != nullptr ? observer->NowUs() : 0;
     return w;
   };
 
   // Commits one completed segment: its buffered packets become visible in the
-  // output and in the byte accounting. Until this point the segment leaves no
+  // output, and its counters — the child's plus the packets and bytes counted
+  // here — fold into the run's totals. Until this point the segment leaves no
   // trace, so discarding a failed worker's partial state and re-running its
-  // pending segments can never duplicate or drop packets.
-  auto commit_segment = [&](WorkerState& w, uint32_t seg) {
+  // pending segments can never duplicate or drop packets or counts.
+  auto commit_segment = [&](WorkerState& w, uint32_t seg, obs::MapTaskObs& task) {
     const auto pending_it = std::find(w.pending.begin(), w.pending.end(), seg);
     if (pending_it == w.pending.end()) {
       throw SympleIoError("segment-done for a segment this worker does not own");
     }
     w.pending.erase(pending_it);
     auto it = w.partial.find(seg);
-    if (it == w.partial.end()) {
-      return;  // segment produced no packets (e.g. nothing parsed)
+    if (it != w.partial.end()) {  // a segment may produce no packets
+      for (Packet& p : it->second) {
+        const uint64_t bytes = PacketBytes(p);
+        task.bytes += bytes;
+        ++task.packets;
+        shuffle->Add(std::move(p), bytes);
+      }
+      w.partial.erase(it);
     }
-    for (Packet& p : it->second) {
-      const uint64_t bytes = PacketBytes(p);
-      stats->shuffle_bytes += bytes;
-      w.bytes += bytes;
-      ++w.packets;
-      shuffle->Add(std::move(p), bytes);
-    }
-    w.partial.erase(it);
+    FoldMapTask(task, stats);
+    w.task += task;
   };
 
   auto process_frames = [&](WorkerState& w) {
@@ -275,7 +352,9 @@ void RunForkedMapPhase(const Dataset& data, const EngineOptions& options,
         }
         w.partial[seg].push_back(DeserializePacketFrame<Key>(r));
       } else if (type == kFrameSegmentDone) {
-        commit_segment(w, r.ReadVarUint32());
+        obs::MapTaskObs task;
+        const uint32_t seg = DecodeSegmentDone(r, &task);
+        commit_segment(w, seg, task);
       } else if (type == kFrameStreamEnd) {
         if (!w.pending.empty()) {
           throw SympleIoError("stream end with incomplete segments");
@@ -299,18 +378,14 @@ void RunForkedMapPhase(const Dataset& data, const EngineOptions& options,
       have_rusage = true;
     }
     if (observer != nullptr) {
-      obs::MapTaskObs t;
-      t.mapper_id = w.spawn_seq;
-      t.start_us = w.drain_start_us;
-      t.end_us = observer->NowUs();
-      t.packets = w.packets;
-      t.bytes = w.bytes;
+      w.task.end_us = observer->NowUs();
       if (have_rusage) {
+        // The whole worker process, not just its map bodies' thread CPU.
         const obs::ResourceUsage u = obs::FromRusage(worker_ru);
-        t.cpu_ms = u.cpu_ms();
-        t.maxrss_kb = u.maxrss_kb;
+        w.task.cpu_ms = u.cpu_ms();
+        w.task.maxrss_kb = u.maxrss_kb;
       }
-      observer->OnMapTask(t);
+      observer->OnMapTask(w.task);
     }
   };
 
@@ -366,7 +441,7 @@ void RunForkedMapPhase(const Dataset& data, const EngineOptions& options,
     // pending segments — often one straggler worker's whole share — run
     // through the threaded executor's morsel loop on map_slots threads, so
     // the recovery runs wide instead of serially re-walking segments on the
-    // drain thread, and its TaskStats fold into the run's counters. Morsel
+    // drain thread, and its tasks fold into the run's counters. Morsel
     // packets carry global record ids, so they compose at the reducer
     // exactly like a whole segment's would.
     stats->fallback_segments += pending.size();

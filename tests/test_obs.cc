@@ -343,7 +343,7 @@ TEST(RunReport, JsonCarriesObservedTasks) {
   report.query = "G1";
   report.config = {{"map_slots", "4"}};
   report.totals.total_wall_ms = 5.0;
-  report.exploration.runs = 160;
+  report.totals.exploration.runs = 160;
 
   JsonValue doc;
   std::string error;

@@ -58,21 +58,44 @@ Dataset OrderingDataset(size_t segments) {
 
 // --- 1. cross-engine byte identity ----------------------------------------------
 
+// Also pins the counters every engine must report alike. Each 1000-record
+// segment is one morsel at these options, so the threaded and forked runs of
+// one map body execute the same tasks.
 template <typename Query>
 void ExpectAllFiveEnginesByteIdentical(const Dataset& data) {
   EngineOptions options;
   options.map_slots = 3;
   options.reduce_slots = 3;
-  const auto seq_bytes = OutputBytes(RunSequential<Query>(data, options));
+  const auto seq = RunSequential<Query>(data, options);
+  const auto mr = RunBaselineMapReduce<Query>(data, options);
+  const auto sym = RunSymple<Query>(data, options);
+  const auto mr_forked = RunBaselineForked<Query>(data, options);
+  const auto sym_forked = RunSympleForked<Query>(data, options);
+  const auto seq_bytes = OutputBytes(seq);
   EXPECT_FALSE(seq_bytes.empty());
-  EXPECT_EQ(seq_bytes, OutputBytes(RunBaselineMapReduce<Query>(data, options)))
+  EXPECT_EQ(seq_bytes, OutputBytes(mr))
       << Query::kName << ": threaded baseline ordering/output diverged";
-  EXPECT_EQ(seq_bytes, OutputBytes(RunSymple<Query>(data, options)))
+  EXPECT_EQ(seq_bytes, OutputBytes(sym))
       << Query::kName << ": threaded SYMPLE ordering/output diverged";
-  EXPECT_EQ(seq_bytes, OutputBytes(RunBaselineForked<Query>(data, options)))
+  EXPECT_EQ(seq_bytes, OutputBytes(mr_forked))
       << Query::kName << ": forked baseline ordering/output diverged";
-  EXPECT_EQ(seq_bytes, OutputBytes(RunSympleForked<Query>(data, options)))
+  EXPECT_EQ(seq_bytes, OutputBytes(sym_forked))
       << Query::kName << ": forked SYMPLE ordering/output diverged";
+
+  for (const EngineStats* s : {&mr.stats, &sym.stats, &mr_forked.stats, &sym_forked.stats}) {
+    EXPECT_EQ(s->input_records, seq.stats.input_records) << Query::kName;
+    EXPECT_EQ(s->parsed_records, seq.stats.parsed_records) << Query::kName;
+  }
+  for (const EngineStats* s :
+       {&seq.stats, &mr.stats, &sym.stats, &mr_forked.stats, &sym_forked.stats}) {
+    EXPECT_GT(s->map_cpu_ms, 0) << Query::kName;
+  }
+  EXPECT_EQ(mr_forked.stats.shuffle_bytes, mr.stats.shuffle_bytes) << Query::kName;
+  EXPECT_EQ(sym_forked.stats.shuffle_bytes, sym.stats.shuffle_bytes) << Query::kName;
+  EXPECT_EQ(sym_forked.stats.summaries, sym.stats.summaries) << Query::kName;
+  EXPECT_EQ(sym_forked.stats.summary_paths, sym.stats.summary_paths) << Query::kName;
+  EXPECT_EQ(sym_forked.stats.exploration.runs, sym.stats.exploration.runs)
+      << Query::kName;
 }
 
 TEST(GroupOrdering, AllFiveEnginesByteIdentical) {
@@ -135,7 +158,7 @@ TEST(GroupOrdering, BaselineMapSegmentEmitsFirstSeenOrder) {
   const std::string& segment = data.segments[0];
   const auto expected = FirstSeenKeys<G1OnlyPushes>(segment);
   ASSERT_GT(expected.size(), 10u);
-  internal::TaskStats ts;
+  obs::MapTaskObs ts;
   const auto packets = internal::BaselineMapSegment<G1OnlyPushes>(
       segment, 0, /*first_record=*/0, &ts);
   ASSERT_EQ(packets.size(), expected.size());
@@ -148,7 +171,7 @@ TEST(GroupOrdering, SympleMapSegmentEmitsFirstSeenOrder) {
   const Dataset data = OrderingDataset(1);
   const std::string& segment = data.segments[0];
   const auto expected = FirstSeenKeys<G1OnlyPushes>(segment);
-  internal::TaskStats ts;
+  obs::MapTaskObs ts;
   const auto packets = internal::SympleMapSegment<G1OnlyPushes>(
       segment, 0, /*first_record=*/0, AggregatorOptions{}, DegradeBudgets{},
       &ts);

@@ -123,8 +123,11 @@ TEST(ProcessFault, WorkerCrashMidStreamRecovers) {
   EXPECT_GE(forked.stats.worker_retries, 1u);
   EXPECT_EQ(forked.stats.fallback_segments, 0u);
   // Partial segments were discarded and re-executed exactly once: the byte
-  // accounting must match the threaded engine's (same wire format).
+  // accounting must match the threaded engine's (same wire format), and the
+  // crashed worker's segments count once, through the respawned worker.
   EXPECT_EQ(forked.stats.shuffle_bytes, threaded.stats.shuffle_bytes);
+  EXPECT_EQ(forked.stats.parsed_records, seq.stats.parsed_records);
+  EXPECT_EQ(forked.stats.summaries, threaded.stats.summaries);
 
   const auto forked_mr = RunBaselineForked<G1OnlyPushes>(data, options);
   EXPECT_TRUE(forked_mr.outputs == seq.outputs);

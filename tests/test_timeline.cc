@@ -53,7 +53,7 @@ const obs::TimelineStage* FindStage(const obs::RunTimeline& t, const char* name)
 }
 
 TEST(Timeline, EmptySpansNotBuilt) {
-  obs::TimelineInputs in;
+  EngineStats in;
   in.total_wall_ms = 10;
   const obs::RunTimeline t = obs::BuildRunTimeline({}, 1, in);
   EXPECT_FALSE(t.built);
@@ -64,7 +64,7 @@ TEST(Timeline, EmptySpansNotBuilt) {
 TEST(Timeline, FiltersByPidLane) {
   std::vector<obs::TraceSpan> spans;
   spans.push_back(MakeSpan("map_task", 2, 0, 0, 1000));
-  obs::TimelineInputs in;
+  EngineStats in;
   in.total_wall_ms = 1;
   EXPECT_FALSE(obs::BuildRunTimeline(spans, 1, in).built);
   EXPECT_TRUE(obs::BuildRunTimeline(spans, 2, in).built);
@@ -85,7 +85,7 @@ TEST(Timeline, StageBreakdownLanesAndCriticalPath) {
                            {{"groups", 1}, {"bytes", 1000}, {"max_run_bytes", 900}}));
   spans.push_back(MakeSpan("map_task", 9, 7, 0, 99999));
 
-  obs::TimelineInputs in;
+  EngineStats in;
   in.total_wall_ms = 20;
   in.map_wall_ms = 6;
   in.shuffle_wall_ms = 1;
@@ -139,7 +139,7 @@ TEST(Timeline, HeavyKeyStragglerAttribution) {
                            {{"groups", 4}, {"bytes", 350}, {"max_run_bytes", 120}}));
   spans.push_back(MakeSpan("reduce_task", 1, 2, 0, 9000,
                            {{"groups", 1}, {"bytes", 1000}, {"max_run_bytes", 900}}));
-  obs::TimelineInputs in;
+  EngineStats in;
   in.total_wall_ms = 9;
   in.reduce_wall_ms = 9;
   in.partition_skew = 2.5;
@@ -170,7 +170,7 @@ TEST(Timeline, BalancedTaskStragglerAttributionAndNoiseFloor) {
   spans.push_back(MakeSpan("map_task", 1, 0, 0, 100));
   spans.push_back(MakeSpan("map_task", 1, 1, 0, 100));
   spans.push_back(MakeSpan("map_task", 1, 2, 0, 300));
-  obs::TimelineInputs in;
+  EngineStats in;
   in.total_wall_ms = 9;
   in.map_wall_ms = 0.3;
   in.reduce_wall_ms = 9;

@@ -150,6 +150,67 @@ TEST(WireHardening, FrameEnvelopeRejectsVersionMismatch) {
   EXPECT_THROW(internal::ValidateWorkerFrame(frame, &type), SympleWireError);
 }
 
+// --- segment-done body ------------------------------------------------------
+
+// A segment-done body with every shipped counter set to a distinct value.
+std::vector<uint8_t> GoldenSegmentDone(obs::MapTaskObs* task) {
+  uint64_t next = 1;
+  internal::VisitSegmentCounters(*task, [&next](auto& v) { v = next++ * 300; });
+  task->cpu_ms = 12.625;
+  BinaryWriter body;
+  internal::EncodeSegmentDone(41, *task, &body);
+  return body.buffer();
+}
+
+TEST(WireHardening, SegmentDoneRoundTrip) {
+  obs::MapTaskObs sent;
+  const std::vector<uint8_t> body = GoldenSegmentDone(&sent);
+  obs::MapTaskObs got;
+  EXPECT_EQ(internal::DecodeSegmentDone(BinaryReader(body), &got), 41u);
+  EXPECT_EQ(got.records, sent.records);
+  EXPECT_EQ(got.parsed, sent.parsed);
+  EXPECT_DOUBLE_EQ(got.cpu_ms, 12.625);
+  EXPECT_EQ(got.summaries, sent.summaries);
+  EXPECT_EQ(got.summary_paths, sent.summary_paths);
+  EXPECT_EQ(got.exploration.runs, sent.exploration.runs);
+  EXPECT_EQ(got.exploration.decisions, sent.exploration.decisions);
+  EXPECT_EQ(got.exploration.paths_produced, sent.exploration.paths_produced);
+  EXPECT_EQ(got.exploration.paths_merged, sent.exploration.paths_merged);
+  EXPECT_EQ(got.exploration.merge_rounds, sent.exploration.merge_rounds);
+  EXPECT_EQ(got.exploration.summary_restarts, sent.exploration.summary_restarts);
+  EXPECT_EQ(got.exploration.live_path_peak, sent.exploration.live_path_peak);
+  EXPECT_EQ(got.group_map.arena_bytes, sent.group_map.arena_bytes);
+  EXPECT_EQ(got.group_map.rehashes, sent.group_map.rehashes);
+  EXPECT_EQ(got.group_map.probe_lookups, sent.group_map.probe_lookups);
+  EXPECT_EQ(got.group_map.probe_steps, sent.group_map.probe_steps);
+}
+
+TEST(WireHardening, SegmentDoneRejectsTruncationAndTrailingBytes) {
+  obs::MapTaskObs sent;
+  const std::vector<uint8_t> body = GoldenSegmentDone(&sent);
+  // A short or long body is a protocol failure (retried), not wire
+  // corruption (degraded): SympleIoError but never SympleWireError.
+  const auto rejects_as_protocol = [](const std::vector<uint8_t>& bytes) {
+    obs::MapTaskObs got;
+    try {
+      internal::DecodeSegmentDone(BinaryReader(bytes), &got);
+    } catch (const SympleWireError&) {
+      return false;
+    } catch (const SympleIoError&) {
+      return true;
+    }
+    return false;
+  };
+  for (size_t len = 0; len < body.size(); ++len) {
+    const std::vector<uint8_t> prefix(body.begin(),
+                                      body.begin() + static_cast<ptrdiff_t>(len));
+    EXPECT_TRUE(rejects_as_protocol(prefix)) << "prefix of " << len << " bytes";
+  }
+  std::vector<uint8_t> longer = body;
+  longer.push_back(0);
+  EXPECT_TRUE(rejects_as_protocol(longer));
+}
+
 // --- strict deserialize validation ------------------------------------------
 
 TEST(WireHardening, ErrorHierarchy) {
@@ -231,7 +292,7 @@ struct GoldenSegment {
 GoldenSegment MakeGoldenSegment() {
   GoldenSegment g;
   g.data = DatasetFromLines({{"1\t5", "1\t-3", "1\t7"}});
-  internal::TaskStats ts;
+  obs::MapTaskObs ts;
   auto packets = internal::SympleMapSegment<LedgerQuery>(
       g.data.segments[0], 0, /*first_record=*/0, AggregatorOptions{},
       DegradeBudgets{}, &ts);
