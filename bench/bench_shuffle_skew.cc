@@ -1,6 +1,9 @@
 // Shuffle + reduce scheduling under key skew: the hash-partitioned parallel
-// shuffle with largest-first dispatch (docs/shuffle.md) against the pre-PR
-// configuration (one partition, single-threaded sort, static-stride runs).
+// shuffle with largest-first dispatch (docs/shuffle.md) against the
+// pre-partitioning configuration (one partition, single-threaded sort,
+// static-stride runs). The static-stride makespan is modeled only
+// (ModelStatic): the real one-partition run dispatches largest-first, the
+// engine's only schedule.
 //
 // Methodology: like the cluster figures (bench_fig5/7), this benchmark
 // substitutes a model for hardware the host may not have. Scheduling wins
@@ -237,15 +240,14 @@ Modeled ModelPartitioned(const std::vector<ShufflePacket<int64_t>>& workload,
 // two configs are proven output-equivalent and the bench JSON carries real
 // EngineStats (partition counts, skew, shuffle/reduce wall on this host).
 uint64_t RunReal(const std::vector<ShufflePacket<int64_t>>& workload,
-                 size_t partitions, ReduceSchedule schedule, size_t slots,
-                 EngineStats* stats) {
+                 size_t partitions, size_t slots, EngineStats* stats) {
   ShuffleBuffer<int64_t> shuffle(partitions);
   auto batch = workload;
   shuffle.AddBatch(std::move(batch));
   std::mutex mu;
   uint64_t checksum = 0;
   internal::RunShuffleAndReduce<int64_t>(
-      std::move(shuffle), slots, schedule,
+      std::move(shuffle), slots,
       [&mu, &checksum](const int64_t&, const ShufflePacket<int64_t>* first,
                        const ShufflePacket<int64_t>* last) {
         uint64_t local = 0;
@@ -282,11 +284,9 @@ int main() {
       EngineStats old_stats;
       EngineStats new_stats;
       const uint64_t old_sum =
-          RunReal(workload, /*partitions=*/1, ReduceSchedule::kStatic, slots,
-                  &old_stats);
+          RunReal(workload, /*partitions=*/1, slots, &old_stats);
       const uint64_t new_sum =
-          RunReal(workload, /*partitions=*/slots, ReduceSchedule::kLargestFirst,
-                  slots, &new_stats);
+          RunReal(workload, /*partitions=*/slots, slots, &new_stats);
       if (old_sum != new_sum) {
         std::printf("ERROR: %s/%zu: partitioned reduce diverged\n", shape, slots);
         return 1;
@@ -300,7 +300,7 @@ int main() {
       std::printf("%-8s %6zu %12.1f %12.1f %8.2fx\n", shape, slots,
                   old_run.total(), new_run.total(), speedup);
       const std::string label = std::string(shape) + "_" + std::to_string(slots);
-      bench::BenchReport::AddRun(label, "shuffle-static", "P=1 static", old_stats);
+      bench::BenchReport::AddRun(label, "shuffle-p1", "P=1 largest-first", old_stats);
       bench::BenchReport::AddRun(label, "shuffle-lpt", "P=slots largest-first",
                                  new_stats);
       bench::BenchReport::AddScalar(label + "_static_makespan_ms", old_run.total());

@@ -60,7 +60,6 @@ struct Options {
   bool force_degrade = false;
   // Shuffle knobs (docs/shuffle.md). partitions 0 = auto (one per reduce slot).
   size_t reduce_partitions = 0;
-  std::string reduce_schedule = "largest-first";  // or "static"
   // Expected groups per map segment (docs/group_map.md); 0 = auto.
   size_t group_capacity_hint = 0;
   // Records per map morsel (docs/scheduling.md); 0 = auto.
@@ -206,9 +205,6 @@ int RunQuery(const Options& options, symple::Dataset data) {
     engine_options.morsel_records = options.morsel_records;
     engine_options.memory_budget_bytes = options.memory_budget_bytes;
     engine_options.spill_dir = options.spill_dir;
-    engine_options.reduce_schedule = options.reduce_schedule == "static"
-                                         ? ReduceSchedule::kStatic
-                                         : ReduceSchedule::kLargestFirst;
     obs::RunObserver observer(name, observing ? &tracer : nullptr, pid);
     if (observing) {
       engine_options.observer = &observer;
@@ -366,8 +362,6 @@ int main(int argc, char** argv) {
       options.summary_bytes_budget = static_cast<size_t>(std::atoll(value.c_str()));
     } else if (FlagValue(argc, argv, i, "--reduce-partitions", &value)) {
       options.reduce_partitions = static_cast<size_t>(std::atoll(value.c_str()));
-    } else if (FlagValue(argc, argv, i, "--reduce-schedule", &value)) {
-      options.reduce_schedule = value;
     } else if (FlagValue(argc, argv, i, "--group-capacity-hint", &value)) {
       options.group_capacity_hint = static_cast<size_t>(std::atoll(value.c_str()));
     } else if (FlagValue(argc, argv, i, "--morsel-records", &value)) {
@@ -401,12 +395,6 @@ int main(int argc, char** argv) {
                 options.engine.c_str());
     return 1;
   }
-  if (options.reduce_schedule != "largest-first" &&
-      options.reduce_schedule != "static") {
-    std::printf("unknown reduce schedule '%s' (expected largest-first|static)\n",
-                options.reduce_schedule.c_str());
-    return 1;
-  }
   if (options.query.empty()) {
     std::printf("usage: query_cli <query> [--records N] [--segments N] "
                 "[--engine sequential|mapreduce|symple|all|forked]\n"
@@ -417,7 +405,6 @@ int main(int argc, char** argv) {
                 "                 [--path-budget N] [--summary-bytes-budget N] "
                 "[--force-degrade]\n"
                 "                 [--reduce-partitions N] "
-                "[--reduce-schedule largest-first|static] "
                 "[--group-capacity-hint N]\n"
                 "                 [--morsel-records N] "
                 "[--memory-budget N[k|m|g]] [--spill-dir DIR]\n"

@@ -4,8 +4,9 @@
 # ASan+UBSan, and the threaded-engine / shuffle / spill / morsel suites under
 # TSan (filters live in CMakePresets.json) — then the smoke-mode
 # perf gate (bench_compare over two bench_smoke runs + checked-in fixtures),
-# the bench/e2e smoke, and one --explain bottleneck report as a
-# human-readable tail.
+# the full-size bench gates (bench_groupmap, bench_spill, bench_morsel,
+# bench_shuffle_skew), the bench/e2e smoke, and one --explain bottleneck
+# report as a human-readable tail.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -78,6 +79,13 @@ fi
 # modeled map makespan over static per-segment dispatch and byte-identical
 # outputs across morsel granularities, exiting nonzero otherwise.
 (cd "$gate_dir" && ../../build/bench/bench_morsel)
+
+# --- reduce-scheduling skew gate ---------------------------------------------
+# Zipf-skewed key runs (one hot group plus a flat tail); the binary itself
+# enforces >= 1.5x modeled shuffle+reduce makespan for the partitioned
+# largest-first shuffle over one partition with a static-stride reduce at
+# 4 and 8 slots, with matching reduce checksums, exiting nonzero otherwise.
+(cd "$gate_dir" && ../../build/bench/bench_shuffle_skew)
 
 # --- end-to-end benchmark smoke ------------------------------------------------
 # bench/e2e is its own CMake project: its ctest smoke runs all five engines

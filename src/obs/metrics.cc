@@ -13,15 +13,6 @@ bool Enabled() {
   return enabled;
 }
 
-size_t ThisThreadShard() {
-  // Distinct threads get consecutive shard indices; the counter only ever
-  // grows, so long-lived worker threads keep stable slots.
-  static std::atomic<size_t> next{0};
-  thread_local const size_t shard =
-      next.fetch_add(1, std::memory_order_relaxed) % kMetricShards;
-  return shard;
-}
-
 uint64_t HistogramSnapshot::Quantile(double q) const {
   if (count == 0) {
     return 0;
@@ -42,102 +33,6 @@ uint64_t HistogramSnapshot::Quantile(double q) const {
     }
   }
   return max;
-}
-
-HistogramSnapshot Histogram::Scrape() const {
-  HistogramSnapshot snap;
-  snap.min = ~0ull;  // untouched shards keep the sentinel; fixed up below
-  for (const Shard& s : shards_) {
-    for (size_t i = 0; i < kHistogramBuckets; ++i) {
-      const uint64_t n = s.buckets[i].load(std::memory_order_relaxed);
-      snap.buckets[i] += n;
-      snap.count += n;
-    }
-    snap.sum += s.sum.load(std::memory_order_relaxed);
-    const uint64_t shard_max = s.max.load(std::memory_order_relaxed);
-    const uint64_t shard_min = s.min.load(std::memory_order_relaxed);
-    if (shard_min < snap.min) {
-      snap.min = shard_min;
-    }
-    if (shard_max > snap.max) {
-      snap.max = shard_max;
-    }
-  }
-  if (snap.count == 0) {
-    snap.min = 0;
-  }
-  return snap;
-}
-
-void Histogram::Reset() {
-  for (Shard& s : shards_) {
-    for (auto& b : s.buckets) {
-      b.store(0, std::memory_order_relaxed);
-    }
-    s.sum.store(0, std::memory_order_relaxed);
-    s.max.store(0, std::memory_order_relaxed);
-    s.min.store(~0ull, std::memory_order_relaxed);
-  }
-}
-
-MetricsRegistry& MetricsRegistry::Global() {
-  static MetricsRegistry* registry = new MetricsRegistry();
-  return *registry;
-}
-
-Counter* MetricsRegistry::GetCounter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = counters_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Counter>();
-  }
-  return slot.get();
-}
-
-Gauge* MetricsRegistry::GetGauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = gauges_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Gauge>();
-  }
-  return slot.get();
-}
-
-Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = histograms_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Histogram>();
-  }
-  return slot.get();
-}
-
-MetricsRegistry::Snapshot MetricsRegistry::Scrape() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  Snapshot snap;
-  for (const auto& [name, c] : counters_) {
-    snap.counters.emplace(name, c->Value());
-  }
-  for (const auto& [name, g] : gauges_) {
-    snap.gauges.emplace(name, g->Value());
-  }
-  for (const auto& [name, h] : histograms_) {
-    snap.histograms.emplace(name, h->Scrape());
-  }
-  return snap;
-}
-
-void MetricsRegistry::ResetAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, c] : counters_) {
-    c->Reset();
-  }
-  for (auto& [name, g] : gauges_) {
-    g->Set(0);
-  }
-  for (auto& [name, h] : histograms_) {
-    h->Reset();
-  }
 }
 
 }  // namespace obs

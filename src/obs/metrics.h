@@ -1,95 +1,24 @@
-// Lock-cheap metrics for the engines: counters, gauges, and log2-bucket
-// histograms, plus a named registry that scrapes them into plain snapshots.
+// Log2-bucket histograms for the per-task distributions in a RunReport, and
+// the process-wide observability switch.
 //
-// Design:
-//  - Hot-path updates are relaxed atomic adds into one of a fixed number of
-//    cache-line-spaced shards selected by a per-thread index, so concurrent
-//    mapper threads never contend on one counter word. Scraping sums the
-//    shards; totals are exact once the writing threads have quiesced (the
-//    engines scrape after ThreadPool::Wait, so reports are exact).
 //  - Histograms use 66 fixed buckets: bucket 0 holds the value 0, bucket k
 //    holds values with bit-width k (i.e. [2^(k-1), 2^k)), bucket 65 holds the
 //    top of the u64 range. Quantiles are estimated at bucket upper bounds —
 //    at most 2x off, which is the standard trade for O(1) recording. Exact
 //    `max` and `sum` are kept alongside.
-//  - The whole subsystem can be disabled at startup with SYMPLE_OBS_DISABLE=1
-//    (checked once); disabled metrics skip even the shard write.
+//  - Observability can be disabled at startup with SYMPLE_OBS_DISABLE=1
+//    (checked once).
 #ifndef SYMPLE_OBS_METRICS_H_
 #define SYMPLE_OBS_METRICS_H_
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <vector>
 
 namespace symple {
 namespace obs {
 
 // True unless SYMPLE_OBS_DISABLE=1 was set when the process first asked.
 bool Enabled();
-
-// Number of update shards per metric. A small power of two: enough to spread
-// the engines' worker threads, cheap enough to scrape.
-inline constexpr size_t kMetricShards = 16;
-
-// Index of the calling thread's shard (stable per thread).
-size_t ThisThreadShard();
-
-namespace internal {
-struct alignas(64) ShardSlot {
-  std::atomic<uint64_t> value{0};
-};
-}  // namespace internal
-
-// --- Counter -------------------------------------------------------------------
-
-class Counter {
- public:
-  void Add(uint64_t n) {
-    if (!Enabled()) {
-      return;
-    }
-    shards_[ThisThreadShard()].value.fetch_add(n, std::memory_order_relaxed);
-  }
-  void Increment() { Add(1); }
-
-  uint64_t Value() const {
-    uint64_t total = 0;
-    for (const auto& s : shards_) {
-      total += s.value.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-
-  void Reset() {
-    for (auto& s : shards_) {
-      s.value.store(0, std::memory_order_relaxed);
-    }
-  }
-
- private:
-  internal::ShardSlot shards_[kMetricShards];
-};
-
-// --- Gauge ---------------------------------------------------------------------
-
-// A last-writer-wins instantaneous value (e.g. live paths, queue depth).
-class Gauge {
- public:
-  void Set(int64_t v) {
-    if (!Enabled()) {
-      return;
-    }
-    value_.store(v, std::memory_order_relaxed);
-  }
-  int64_t Value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<int64_t> value_{0};
-};
 
 // --- Histogram -----------------------------------------------------------------
 
@@ -114,8 +43,8 @@ inline uint64_t HistogramBucketUpper(size_t bucket) {
   return (1ull << bucket) - 1;
 }
 
-// Scraped view of a histogram; also usable directly as a cheap
-// single-threaded accumulator (the engines keep one per map task).
+// A single-threaded histogram accumulator: the engines keep one per task,
+// and RunObserver merges them into the run's distributions.
 struct HistogramSnapshot {
   uint64_t buckets[kHistogramBuckets] = {};
   uint64_t count = 0;
@@ -156,77 +85,6 @@ struct HistogramSnapshot {
   // Value at quantile q in [0,1], estimated as the upper bound of the bucket
   // containing the q-th ordered sample (clamped by the exact max).
   uint64_t Quantile(double q) const;
-};
-
-// Thread-safe histogram: per-shard bucket arrays, relaxed adds.
-class Histogram {
- public:
-  void Record(uint64_t v) {
-    if (!Enabled()) {
-      return;
-    }
-    Shard& s = shards_[ThisThreadShard()];
-    s.buckets[HistogramBucket(v)].fetch_add(1, std::memory_order_relaxed);
-    s.sum.fetch_add(v, std::memory_order_relaxed);
-    // Racy max/min folding: fetch-or-retry CAS kept simple since collisions
-    // within one shard mean same-thread sequencing in the engines.
-    uint64_t prev = s.max.load(std::memory_order_relaxed);
-    while (v > prev &&
-           !s.max.compare_exchange_weak(prev, v, std::memory_order_relaxed)) {
-    }
-    prev = s.min.load(std::memory_order_relaxed);
-    while (v < prev &&
-           !s.min.compare_exchange_weak(prev, v, std::memory_order_relaxed)) {
-    }
-  }
-
-  HistogramSnapshot Scrape() const;
-  void Reset();
-
- private:
-  struct alignas(64) Shard {
-    std::atomic<uint64_t> buckets[kHistogramBuckets] = {};
-    std::atomic<uint64_t> sum{0};
-    std::atomic<uint64_t> max{0};
-    std::atomic<uint64_t> min{~0ull};
-  };
-  Shard shards_[kMetricShards];
-};
-
-// --- Registry ------------------------------------------------------------------
-
-// Named metric directory. Metric objects are owned by the registry and live
-// until it is destroyed; handles returned here stay valid. Lookup takes a
-// mutex — callers are expected to resolve handles once (at setup) and update
-// through the handle on the hot path.
-class MetricsRegistry {
- public:
-  MetricsRegistry() = default;
-  MetricsRegistry(const MetricsRegistry&) = delete;
-  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  // Process-wide default registry.
-  static MetricsRegistry& Global();
-
-  Counter* GetCounter(const std::string& name);
-  Gauge* GetGauge(const std::string& name);
-  Histogram* GetHistogram(const std::string& name);
-
-  struct Snapshot {
-    std::map<std::string, uint64_t> counters;
-    std::map<std::string, int64_t> gauges;
-    std::map<std::string, HistogramSnapshot> histograms;
-  };
-  Snapshot Scrape() const;
-
-  // Zeroes every registered metric (between engine runs in one process).
-  void ResetAll();
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
 }  // namespace obs

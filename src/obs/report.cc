@@ -245,16 +245,6 @@ void RunObserver::OnMapTask(const MapTaskObs& t) {
   r.paths_per_group.Merge(t.paths_per_group);
   r.summaries_per_group.Merge(t.summaries_per_group);
 
-  // Mirror into the process-wide registry so long-lived services can scrape
-  // across runs.
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  reg.GetCounter("engine.map_tasks")->Increment();
-  reg.GetCounter("engine.parsed_records")->Add(t.parsed);
-  reg.GetCounter("engine.shuffle_bytes")->Add(t.bytes);
-  reg.GetCounter("engine.summary_paths")->Add(t.summary_paths);
-  reg.GetHistogram("engine.map_task_wall_us")->Record(wall_us);
-  reg.GetHistogram("engine.map_task_cpu_us")->Record(cpu_us);
-
   if (tracer_ != nullptr) {
     TraceSpan span;
     span.name = "map_task";
@@ -296,10 +286,6 @@ void RunObserver::OnReduceTask(const ReduceTaskObs& t) {
   observed_.reduce_groups.Record(t.groups);
   observed_.reduce_queue_wait_us.Merge(t.queue_wait_us);
 
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  reg.GetCounter("engine.reduce_tasks")->Increment();
-  reg.GetHistogram("engine.reduce_task_wall_us")->Record(wall_us);
-
   if (tracer_ != nullptr) {
     TraceSpan span;
     span.name = "reduce_task";
@@ -326,10 +312,6 @@ void RunObserver::OnShufflePartition(uint32_t partition_id, uint64_t bytes,
   observed_.shuffle_partition_packets.Record(packets);
   observed_.shuffle_partition_runs.Record(runs);
 
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  reg.GetCounter("engine.shuffle_partitions")->Increment();
-  reg.GetHistogram("engine.shuffle_partition_bytes")->Record(bytes);
-
   if (tracer_ != nullptr) {
     TraceSpan span;
     span.name = "shuffle_partition";
@@ -347,9 +329,6 @@ void RunObserver::OnShufflePartition(uint32_t partition_id, uint64_t bytes,
 
 void RunObserver::OnWorkerFailure(uint32_t worker_id, const std::string& kind) {
   ++observed_.worker_failures;
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  reg.GetCounter("engine.worker_failures")->Increment();
-  reg.GetCounter("engine.worker_failures." + kind)->Increment();
   if (tracer_ != nullptr) {
     TraceSpan span;
     span.name = "worker_failure:" + kind;
@@ -371,9 +350,6 @@ void RunObserver::OnSegmentDegraded(uint32_t segment_id,
   if (observed_.degrade_messages.size() < kMaxDegradeMessages && !message.empty()) {
     observed_.degrade_messages.push_back(message);
   }
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  reg.GetCounter("engine.degraded_segments")->Increment();
-  reg.GetCounter("engine.degrades." + reason)->Increment();
   if (tracer_ != nullptr) {
     TraceSpan span;
     span.name = "segment_degraded:" + reason;

@@ -3,8 +3,8 @@
 //
 // Layering: obs knows nothing about how the engines schedule work. The
 // runtime fills the per-task structs below; RunObserver folds them into
-// per-task histograms, mirrors them into the global MetricsRegistry, and (when
-// a Tracer is attached) emits one trace span per task. The whole-run counters
+// per-task histograms and (when a Tracer is attached) emits one trace span
+// per task. The whole-run counters
 // are the runtime's own plain-data EngineStats (runtime/engine_stats.h),
 // embedded as RunReport::totals next to the per-task distributions it cannot
 // carry — obs keeps no second copy of any counter.
@@ -209,16 +209,14 @@ class RunObserver {
   void OnPhase(const std::string& name, double start_us, double end_us,
                uint64_t detail = 0, const std::string& detail_key = "");
   // A forked worker was killed and its pending segments rescheduled. `kind`
-  // is "crash" | "timeout" | "protocol" | "corrupt"; mirrored into the
-  // metrics registry (engine.worker_failures.<kind>) and recorded as an
-  // instant trace event.
+  // is "crash" | "timeout" | "protocol" | "corrupt"; recorded as an instant
+  // trace event.
   void OnWorkerFailure(uint32_t worker_id, const std::string& kind);
   // A map segment degraded from symbolic summary to concrete replay.
   // `reason` is a DegradeReasonName string; `message` preserves the original
   // error text; `replay_ms` is the time the reducer spent concretely
-  // re-scanning the segment (0 when unknown). Mirrored into the metrics
-  // registry (engine.degraded_segments and engine.degrades.<reason>) and
-  // recorded as a trace span whose duration is the replay time.
+  // re-scanning the segment (0 when unknown). Recorded as a trace span whose
+  // duration is the replay time.
   void OnSegmentDegraded(uint32_t segment_id, const std::string& reason,
                          const std::string& message, double replay_ms = 0);
 

@@ -49,7 +49,6 @@
 #include <cstdint>
 #include <cstring>
 #include <ctime>
-#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -91,18 +90,6 @@ enum class ReduceMode {
   kTreeCompose,
 };
 
-// How key runs are assigned to reduce workers (docs/shuffle.md).
-enum class ReduceSchedule {
-  // Static stride: worker r takes runs r, r+slots, r+2*slots, ... One hot
-  // group pins one worker while the rest idle — kept for comparison and as
-  // the pre-partitioning behavior.
-  kStatic,
-  // Skew-aware: runs are ordered largest-first (by serialized bytes) in a
-  // shared work queue and workers steal the next run dynamically, so a hot
-  // group starts immediately and the tail packs around it (LPT scheduling).
-  kLargestFirst,
-};
-
 // Resource budgets bounding symbolic execution per segment (SYMPLE engines
 // only). A "segment" here is one (map chunk, group) sub-stream — the unit the
 // paper's summaries describe and the unit that degrades to concrete replay
@@ -133,8 +120,6 @@ struct EngineOptions {
   // land in exactly one partition, so the Section 5.4 per-key composition
   // order is preserved (docs/shuffle.md).
   size_t reduce_partitions = 0;
-  // Key-run dispatch policy across reduce workers.
-  ReduceSchedule reduce_schedule = ReduceSchedule::kLargestFirst;
   // Expected distinct groups per map segment: pre-sizes each segment's
   // FlatGroupMap index (and the sequential engine's global table) so
   // high-cardinality workloads do not rehash their way up from 16 buckets.
@@ -201,9 +186,6 @@ inline obs::RunReport MakeRunReport(const std::string& query,
       {"reduce_mode",
        options.reduce_mode == ReduceMode::kSequentialFold ? "fold" : "tree"},
       {"reduce_partitions", std::to_string(options.reduce_partitions)},
-      {"reduce_schedule",
-       options.reduce_schedule == ReduceSchedule::kStatic ? "static"
-                                                          : "largest-first"},
       {"group_capacity_hint", std::to_string(options.group_capacity_hint)},
       {"morsel_records", std::to_string(options.morsel_records)},
       {"max_live_paths", std::to_string(options.aggregator.max_live_paths)},
@@ -304,8 +286,8 @@ uint64_t PacketBytes(const ShufflePacket<Key>& p) {
 }
 
 // Conservative bound on a packet's non-key header (mapper, record id, blob
-// length prefix, and the row-count varint a baseline blob leads with). Used
-// by budgeted map tasks to pre-charge per-group flush overhead.
+// length prefix, and the row-count varint a baseline blob leads with).
+// RowsBody::Feed pre-charges it once per group (docs/spill.md).
 inline constexpr uint64_t kPacketHeaderOverhead = 12;
 
 // Packet wire codec, shared by the forked-engine pipe protocol
@@ -400,12 +382,6 @@ size_t ShufflePartitionOf(const Key& key, size_t num_partitions) {
 }
 
 // --- spill-to-disk external aggregation (docs/spill.md) -------------------------
-
-// Map tasks flushing a group table mid-segment hand their packets to this
-// sink (the engine wires it to ShuffleBuffer::AddBatch); returns the batch's
-// serialized bytes for task accounting.
-template <typename Key>
-using PacketSink = std::function<uint64_t(std::vector<ShufflePacket<Key>>&&)>;
 
 // The on-disk half of the shuffle under a memory budget: per-partition
 // collections of sorted packet runs. Producers are map tasks (through
@@ -1150,12 +1126,98 @@ inline void AppendSegmentMorsels(std::string_view seg, uint32_t segment_id,
   }
 }
 
+// One map task: parse + groupby + feed over one segment, or one record-aligned
+// morsel of it, with `first_record` the chunk's first global record id within
+// its segment (docs/scheduling.md). `body` (RowsBody or SummariesBody) says
+// what a group holds: Body::Group is built from the body and the group's
+// first record id, Feed adds one event to it, and Emit turns it into one
+// packet blob. Returns one packet per (mapper, key), in the group table's
+// first-seen order (deterministic; docs/group_map.md).
+//
+// With a memory limit and a `shuffle` to flush into (the threaded executor,
+// docs/spill.md), every 64 records the task charges the bytes Feed reported
+// outside the table's arena and, once the budget is over its watermark,
+// emits every group into the shuffle and clears the table for reuse. Each
+// flush starts new groups carrying the first record id they see, so a
+// flush incarnation is just one more in-order split of the chunk: the
+// Section 5.4 (key, mapper, record) order composes incarnations at the
+// reducer exactly like morsels. The forked children pass no shuffle and map
+// whole segments in one pass.
+template <typename Body>
+std::vector<ShufflePacket<typename Body::Key>> MapChunk(
+    const Body& body, std::string_view chunk, uint32_t mapper_id,
+    uint64_t first_record, obs::MapTaskObs* ts, MemoryBudget* budget,
+    ShuffleBuffer<typename Body::Key>* shuffle) {
+  using Key = typename Body::Key;
+  using Packet = ShufflePacket<Key>;
+  using Table = FlatGroupMap<Key, typename Body::Group>;
+  // Sized from the capacity hint over the chunk's record-count hint, and
+  // clamped under a budget so the up-front reservation cannot eat it.
+  Table groups(ClampHintToBudget(
+      ResolveGroupCapacityHint(body.seg_hint, chunk.size() / 64), budget,
+      sizeof(typename Table::Node) + 8));
+  groups.SetMemoryBudget(budget);
+  const bool budgeted =
+      shuffle != nullptr && budget != nullptr && budget->limit_bytes() > 0;
+  uint64_t charged = 0;  // Feed's bytes charged to the budget so far
+  uint64_t pending = 0;  // Feed's bytes not yet charged
+  uint64_t since_check = 0;
+
+  // Emits every group, then releases what Feed charged: the bytes now live
+  // in the packet blobs, which the shuffle charges when they arrive.
+  const auto emit = [&](bool flushing) {
+    std::vector<Packet> out;
+    out.reserve(groups.size());
+    for (auto& entry : groups) {
+      out.push_back(Packet{entry.key, mapper_id, entry.value.first_record,
+                           body.Emit(entry.value, mapper_id, ts, flushing)});
+    }
+    if (charged > 0) {
+      budget->Release(charged);
+      charged = 0;
+    }
+    return out;
+  };
+
+  LineCursor cursor(chunk);
+  uint64_t rid = first_record;
+  while (const auto line = cursor.Next()) {
+    const uint64_t record_id = rid++;
+    ++ts->records;
+    auto rec = Body::Query::Parse(*line);
+    if (!rec.has_value()) {
+      continue;
+    }
+    ++ts->parsed;
+    auto& group = *groups.GetOrEmplace(rec->first, body, record_id).first;
+    pending += body.Feed(group, rec->first, rec->second);
+    if (budgeted && ++since_check >= 64) {
+      since_check = 0;
+      budget->Charge(pending);
+      charged += pending;
+      pending = 0;
+      if (budget->over() && groups.size() > 0) {
+        std::vector<Packet> out = emit(/*flushing=*/true);
+        ts->packets += out.size();
+        // Clear before the shuffle charges the packets: keeping both charged
+        // would double-count the flush right at the watermark.
+        groups.Clear();
+        ts->bytes += shuffle->AddBatch(std::move(out));
+      }
+    }
+  }
+  std::vector<Packet> out = emit(/*flushing=*/false);
+  // Probe/allocation counters accumulate across Clear(), so fold the table's
+  // stats exactly once, after the last incarnation.
+  ts->group_map += groups.stats();
+  return out;
+}
+
 // The morsel-driven map phase over `segment_ids` — every segment for the
 // thread executor, a failed worker lineage's pending segments for the fork
-// executor's in-process fallback. `body` is a map body (RowsBody or
-// SummariesBody); each Map call gets the run's `budget` and a sink into
-// `shuffle`, so a budgeted body can flush its table mid-morsel
-// (docs/spill.md).
+// executor's in-process fallback. Each morsel is one MapChunk over `body`
+// (RowsBody or SummariesBody) with the run's `budget` and `shuffle`, so a
+// budgeted task can flush its table mid-morsel (docs/spill.md).
 //
 // Segments are chunked into record-aligned morsels seeded round-robin into
 // per-worker stealing deques (segment s's morsels on worker s % workers, in
@@ -1167,7 +1229,7 @@ inline void AppendSegmentMorsels(std::string_view seg, uint32_t segment_id,
 // post-barrier sort is a cheap run merge.
 //
 // Exception safety (the ThreadPool "tasks must not throw" contract): a
-// SympleError escaping Map — e.g. a throwing user Parse — is caught per
+// SympleError escaping MapChunk — e.g. a throwing user Parse — is caught per
 // morsel and handed to body.Defer when Body::kDefers; otherwise (or when
 // Defer fails too) the first error is rethrown as a typed SympleIoError from
 // the coordinator after quiesce, mirroring the reduce stage.
@@ -1186,9 +1248,6 @@ void RunMapPhase(const std::vector<std::string>& segments,
   stats->morsel_target_records =
       morsel_records == std::numeric_limits<size_t>::max() ? 0 : morsel_records;
   const size_t workers = std::max<size_t>(1, std::min(slots, morsels.size()));
-  const PacketSink<typename Body::Key> sink = [shuffle](std::vector<Packet>&& batch) {
-    return shuffle->AddBatch(std::move(batch));
-  };
 
   // Per-segment fold state: many morsels, one MapTaskObs per segment — the
   // timeline keeps its per-segment task semantics, with morsel counts and
@@ -1209,8 +1268,7 @@ void RunMapPhase(const std::vector<std::string>& segments,
     ThreadPool pool(workers);
     for (size_t w = 0; w < workers; ++w) {
       pool.Submit([w, &queues, &morsels, &segments, &seg_aggs, &body, budget,
-                   &sink, shuffle, observer, obs_map_start, &map_err_mu,
-                   &map_error] {
+                   shuffle, observer, obs_map_start, &map_err_mu, &map_error] {
         size_t idx = 0;
         bool stolen = false;
         while (queues.Next(w, &idx, &stolen)) {
@@ -1229,7 +1287,8 @@ void RunMapPhase(const std::vector<std::string>& segments,
           const double cpu0 = ThreadCpuMs();
           std::vector<Packet> packets;
           try {
-            packets = body.Map(chunk, m.segment, m.first_record, &mts, budget, sink);
+            packets = MapChunk(body, chunk, m.segment, m.first_record, &mts, budget,
+                               shuffle);
           } catch (const SympleError& e) {
             bool deferred = false;
             if constexpr (Body::kDefers) {
@@ -1249,7 +1308,7 @@ void RunMapPhase(const std::vector<std::string>& segments,
             }
           }
           // += not =: a budget-flushed morsel already accounted its
-          // mid-morsel packets through the sink (docs/spill.md).
+          // mid-morsel packets (docs/spill.md).
           mts.packets += packets.size();
           // Eager handoff: this morsel's packets enter the shuffle (sorted,
           // as a run) while other morsels are still mapping.
@@ -1301,18 +1360,18 @@ struct KeyRun {
 //      (key, mapper_id, record_id) — the Section 5.4 order — and its key runs
 //      detected. Because a key's packets live in exactly one partition, each
 //      run is that key's complete, globally ordered packet sequence.
-//   2. Runs are dispatched to `slots` reduce workers, either by static stride
-//      (pre-partitioning behavior) or largest-run-first from a shared work
-//      queue with dynamic stealing (ReduceSchedule::kLargestFirst), so one
-//      hot group no longer pins a reducer while the rest idle.
+//   2. Runs are dispatched to `slots` reduce workers largest-run-first (by
+//      serialized bytes) from a shared work queue that idle workers pull
+//      from, so a hot group starts immediately and the tail packs around it
+//      (LPT scheduling) instead of pinning one reducer while the rest idle.
 //
 // stats->shuffle_wall_ms covers the whole shuffle stage (sorting, run
 // detection, skew accounting), not just the sort. Reduce workers that receive
 // zero runs report no ReduceTaskObs (no misleading 0-duration spans).
 template <typename Key, typename ReduceKeyFn>
 void RunShuffleAndReduce(ShuffleBuffer<Key>&& shuffle, size_t slots,
-                         ReduceSchedule schedule, ReduceKeyFn reduce_key,
-                         EngineStats* stats, obs::RunObserver* observer = nullptr,
+                         ReduceKeyFn reduce_key, EngineStats* stats,
+                         obs::RunObserver* observer = nullptr,
                          SpillContext<Key>* spill = nullptr) {
   const size_t num_parts = shuffle.partition_count();
   const double obs_shuffle_start = observer != nullptr ? observer->NowUs() : 0;
@@ -1378,16 +1437,14 @@ void RunShuffleAndReduce(ShuffleBuffer<Key>&& shuffle, size_t slots,
       total_bytes > 0 ? static_cast<double>(max_part_bytes) * static_cast<double>(num_parts) /
                             static_cast<double>(total_bytes)
                       : 0.0;
-  if (schedule == ReduceSchedule::kLargestFirst) {
-    // Largest-first (LPT): ties broken by (partition, first) so the dispatch
-    // order — and with it the reduce-side trace — is deterministic.
-    std::sort(runs.begin(), runs.end(), [](const KeyRun& a, const KeyRun& b) {
-      if (a.bytes != b.bytes) {
-        return a.bytes > b.bytes;
-      }
-      return std::pair(a.partition, a.first) < std::pair(b.partition, b.first);
-    });
-  }
+  // Largest-first (LPT): ties broken by (partition, first) so the dispatch
+  // order — and with it the reduce-side trace — is deterministic.
+  std::sort(runs.begin(), runs.end(), [](const KeyRun& a, const KeyRun& b) {
+    if (a.bytes != b.bytes) {
+      return a.bytes > b.bytes;
+    }
+    return std::pair(a.partition, a.first) < std::pair(b.partition, b.first);
+  });
   // The whole shuffle stage: sorting, run detection, queue construction.
   stats->shuffle_wall_ms = MsSince(t_shuffle);
   if (observer != nullptr) {
@@ -1408,9 +1465,8 @@ void RunShuffleAndReduce(ShuffleBuffer<Key>&& shuffle, size_t slots,
   {
     ThreadPool pool(task_stats.size());
     for (size_t r = 0; r < task_stats.size(); ++r) {
-      pool.Submit([r, slots = task_stats.size(), schedule, obs_reduce_start, &next_run,
-                   &runs, &shuffle, &reduce_key, &task_stats, observer, spill,
-                   &merge_err_mu, &merge_error] {
+      pool.Submit([r, obs_reduce_start, &next_run, &runs, &shuffle, &reduce_key,
+                   &task_stats, observer, spill, &merge_err_mu, &merge_error] {
         obs::ReduceTaskObs& ts = task_stats[r];
         ts.reducer_id = static_cast<uint32_t>(r);
         if (observer != nullptr) {
@@ -1447,16 +1503,9 @@ void RunShuffleAndReduce(ShuffleBuffer<Key>&& shuffle, size_t slots,
           ts.max_run_bytes = std::max(ts.max_run_bytes, run.bytes);
         };
         try {
-          if (schedule == ReduceSchedule::kStatic) {
-            for (size_t k = r; k < runs.size(); k += slots) {
-              process(runs[k]);
-            }
-          } else {
-            for (size_t k = next_run.fetch_add(1, std::memory_order_relaxed);
-                 k < runs.size();
-                 k = next_run.fetch_add(1, std::memory_order_relaxed)) {
-              process(runs[k]);
-            }
+          for (size_t k = next_run.fetch_add(1, std::memory_order_relaxed);
+               k < runs.size(); k = next_run.fetch_add(1, std::memory_order_relaxed)) {
+            process(runs[k]);
           }
         } catch (const SympleError& e) {
           std::lock_guard<std::mutex> lock(merge_err_mu);
@@ -1490,342 +1539,6 @@ void RunShuffleAndReduce(ShuffleBuffer<Key>&& shuffle, size_t slots,
       observer->OnReduceTask(t);
     }
   }
-}
-
-// A map task's group table, set up the same way by both map bodies: sized
-// from the capacity hint over the chunk's record-count hint, clamped under a
-// budget so the up-front reservation cannot eat it (ClampHintToBudget), and
-// charged to the run's budget.
-template <typename Key, typename Value>
-struct MapTaskTable {
-  MapTaskTable(std::string_view chunk, size_t capacity_hint, MemoryBudget* budget)
-      : groups(ClampHintToBudget(
-            ResolveGroupCapacityHint(capacity_hint, chunk.size() / 64), budget,
-            sizeof(typename FlatGroupMap<Key, Value>::Node) + 8)) {
-    groups.SetMemoryBudget(budget);
-  }
-
-  // Whether the task flushes its table mid-segment: only when a limit can
-  // trip and a sink exists to flush into.
-  static bool Budgeted(const MemoryBudget* budget, const PacketSink<Key>& sink) {
-    return budget != nullptr && budget->limit_bytes() > 0 && sink != nullptr;
-  }
-
-  FlatGroupMap<Key, Value> groups;
-};
-
-// One baseline map task: parse + groupby one segment — or one record-aligned
-// morsel of it (docs/scheduling.md): `segment` is the chunk to scan and
-// `first_record` the chunk's first global record id within its segment, so
-// packet record ids stay globally ordered and morsels compose at the reducer
-// like whole segments. Emits textual per-record rows batched per
-// (mapper, key): RowsBody's map, in threads and in forked workers alike.
-// Packets are emitted in the group table's first-seen order (deterministic;
-// docs/group_map.md), and the rows inside a group buffer are in record order.
-//
-// With a `budget` and `sink` attached (threaded engine under a memory
-// budget, docs/spill.md), the task charges its table's bytes — arena, index
-// and buffered rows — and, when the budget trips, flushes the finished
-// groups into the shuffle mid-segment and clears the table. Each flush
-// incarnation's packet carries the incarnation's first record id, so the
-// Section 5.4 (key, mapper, record) order composes the incarnations back in
-// record order at the reducer.
-template <typename Query>
-std::vector<ShufflePacket<typename Query::Key>> BaselineMapSegment(
-    std::string_view segment, uint32_t mapper_id, uint64_t first_record,
-    obs::MapTaskObs* ts, size_t capacity_hint = 0, MemoryBudget* budget = nullptr,
-    const PacketSink<typename Query::Key>& sink = {}) {
-  using Key = typename Query::Key;
-  struct GroupBuffer {
-    BinaryWriter rows;
-    uint64_t first_record = 0;
-    uint64_t count = 0;
-  };
-  MapTaskTable<Key, GroupBuffer> table(segment, capacity_hint, budget);
-  FlatGroupMap<Key, GroupBuffer>& groups = table.groups;
-  const bool budgeted = table.Budgeted(budget, sink);
-
-  // Row bytes live in per-group BinaryWriters the arena cannot see; they are
-  // charged in 64-record strides and released when a flush clears the table.
-  uint64_t charged_rows = 0;
-  uint64_t pending_rows = 0;
-  uint64_t since_check = 0;
-
-  const auto build_packets = [&] {
-    std::vector<ShufflePacket<Key>> out;
-    out.reserve(groups.size());
-    for (auto& entry : groups) {
-      GroupBuffer& buf = entry.value;
-      ShufflePacket<Key> p;
-      p.key = entry.key;
-      p.mapper_id = mapper_id;
-      p.record_id = buf.first_record;
-      BinaryWriter w;
-      w.WriteVarUint(buf.count);
-      w.WriteBytes(buf.rows.buffer().data(), buf.rows.size());
-      p.blob = w.TakeBuffer();
-      out.push_back(std::move(p));
-    }
-    return out;
-  };
-  const auto flush_groups = [&] {
-    if (groups.size() == 0) {
-      return;
-    }
-    std::vector<ShufflePacket<Key>> out = build_packets();
-    ts->packets += out.size();
-    // Release the table before the sink charges the packets: the rows now
-    // live in the packet blobs, and keeping both charged would double-count
-    // the flush right at the moment the run is already at its watermark.
-    groups.Clear();
-    budget->Release(charged_rows);
-    charged_rows = 0;
-    pending_rows = 0;  // cleared with the table, never charged
-    ts->bytes += sink(std::move(out));
-  };
-
-  LineCursor cursor(segment);
-  uint64_t rid = first_record;
-  while (const auto line = cursor.Next()) {
-    const uint64_t record_id = rid++;
-    ++ts->records;
-    auto rec = Query::Parse(*line);
-    if (!rec.has_value()) {
-      continue;
-    }
-    ++ts->parsed;
-    auto [buf, inserted] = groups.GetOrEmplace(rec->first);
-    if (inserted) {
-      buf->first_record = record_id;
-    }
-    ++buf->count;
-    const size_t rows_before = buf->rows.size();
-    TextKeyCodec<Key>::Write(buf->rows, rec->first);
-    Query::SerializeEvent(rec->second, buf->rows);
-    if (budgeted) {
-      pending_rows += buf->rows.size() - rows_before;
-      if (inserted) {
-        // Each group becomes one packet at flush time, and the sink charges
-        // full PacketBytes — key, ids and length prefixes on top of the rows
-        // tracked here. Pre-charging that header now keeps the flush
-        // net-neutral (release rows, charge packets) instead of surfacing
-        // tens of untracked bytes per group right at the watermark, which a
-        // high-cardinality segment turns into a real overshoot.
-        pending_rows += WireSizeOf(rec->first) + kPacketHeaderOverhead;
-      }
-      if (++since_check >= 64) {
-        since_check = 0;
-        budget->Charge(pending_rows);
-        charged_rows += pending_rows;
-        pending_rows = 0;
-        if (budget->over()) {
-          flush_groups();
-        }
-      }
-    }
-  }
-  std::vector<ShufflePacket<Key>> out = build_packets();
-  if (budgeted) {
-    budget->Release(charged_rows);
-    charged_rows = 0;
-  }
-  // Probe/allocation counters accumulate across Clear(), so fold the table's
-  // stats exactly once, after the last incarnation.
-  ts->group_map += groups.stats();
-  return out;
-}
-
-// One SYMPLE map task: parse + groupby + symbolic UDA over one segment — or
-// one record-aligned morsel of it, with `first_record` the chunk's offset in
-// global record ids (docs/scheduling.md); summaries compose in record order
-// at the reducer, so morsels are indistinguishable from budget-flush
-// incarnations there. Emits one SegmentResult packet per (mapper, key) — ordered serialized
-// summaries, or a DeferredConcrete marker when the group's symbolic
-// execution hit a budget or a declared limitation. Degradation is segment-
-// granular: other groups in the same chunk keep their symbolic summaries.
-// With a `budget` and `sink` attached (threaded engine under a memory
-// budget, docs/spill.md), the task flushes mid-segment: healthy groups emit
-// their summaries-so-far into the shuffle and restart a fresh incarnation
-// (summary composition is associative, so incarnations compose in record
-// order at the reducer exactly like separate mappers' packets). Groups that
-// cannot serialize mid-exploration degrade with reason memory_budget and
-// move to a side map — the flush must release the table either way — and
-// their deferred markers, carrying the incarnation's start record, are
-// emitted once at segment end.
-template <typename Query>
-std::vector<ShufflePacket<typename Query::Key>> SympleMapSegment(
-    std::string_view segment, uint32_t mapper_id, uint64_t first_record,
-    const AggregatorOptions& options, const DegradeBudgets& budgets,
-    obs::MapTaskObs* ts, size_t capacity_hint = 0, MemoryBudget* budget = nullptr,
-    const PacketSink<typename Query::Key>& sink = {}) {
-  using Key = typename Query::Key;
-  using State = typename Query::State;
-  using UpdateFn = void (*)(State&, const typename Query::Event&);
-  using Aggregator = SymbolicAggregator<State, typename Query::Event, UpdateFn>;
-  struct GroupAgg {
-    explicit GroupAgg(const AggregatorOptions& agg_options)
-        : agg(&Query::Update, agg_options) {}
-    Aggregator agg;
-    uint64_t first_record = 0;
-    bool degraded = false;
-    DegradeReason reason = DegradeReason::kOther;
-    std::string message;
-  };
-  // Degraded groups evicted by a budget flush: their records are skipped for
-  // the rest of the segment and one marker per key is emitted at the end,
-  // replaying from the incarnation that degraded.
-  struct SideDegrade {
-    DegradeReason reason;
-    std::string message;
-    uint64_t start_record;
-  };
-  MapTaskTable<Key, GroupAgg> table(segment, capacity_hint, budget);
-  FlatGroupMap<Key, GroupAgg>& groups = table.groups;
-  const bool budgeted = table.Budgeted(budget, sink);
-  std::map<Key, SideDegrade> degraded;
-  uint64_t since_check = 0;
-
-  // Emits the table's groups as packets: symbolic summaries for healthy
-  // groups; degraded groups either join the side map (mid-segment flush) or
-  // emit their deferred markers (final). A group whose summaries fail to
-  // serialize at flush time degrades with reason memory_budget — its
-  // already-fed records cannot leave the table any other way.
-  const auto emit_groups = [&](bool final_emit) {
-    std::vector<ShufflePacket<Key>> out;
-    out.reserve(groups.size() + (final_emit ? degraded.size() : 0));
-    for (auto& entry : groups) {
-      GroupAgg& group = entry.value;
-      ts->exploration += group.agg.stats();
-      if (!group.degraded) {
-        try {
-          std::vector<Summary<State>> summaries = group.agg.Finish();
-          BinaryWriter body;
-          uint64_t group_paths = 0;
-          for (const Summary<State>& s : summaries) {
-            group_paths += s.path_count();
-            s.Serialize(body);
-          }
-          if (budgets.max_summary_bytes_per_segment > 0 &&
-              body.size() > budgets.max_summary_bytes_per_segment) {
-            group.degraded = true;
-            group.reason = DegradeReason::kSummaryBytes;
-            group.message = "segment summary of " + std::to_string(body.size()) +
-                            " bytes exceeded max_summary_bytes_per_segment = " +
-                            std::to_string(budgets.max_summary_bytes_per_segment);
-          } else {
-            ts->summaries += summaries.size();
-            ts->summaries_per_group.Record(summaries.size());
-            ts->summary_paths += group_paths;
-            ts->paths_per_group.Record(group_paths);
-            ShufflePacket<Key> p;
-            p.key = entry.key;
-            p.mapper_id = mapper_id;
-            p.record_id = group.first_record;
-            BinaryWriter w;
-            w.WriteByte(kSegmentSymbolic);
-            w.WriteVarUint(summaries.size());
-            w.WriteBytes(body.buffer().data(), body.size());
-            p.blob = w.TakeBuffer();
-            out.push_back(std::move(p));
-            continue;
-          }
-        } catch (const SympleError& e) {
-          group.degraded = true;
-          group.reason = final_emit ? ClassifyDegradeError(e)
-                                    : DegradeReason::kMemoryBudget;
-          group.message = e.what();
-        }
-      }
-      // Degraded: marker now (final) or side map (flush — the marker must
-      // wait so a later incarnation cannot shadow it).
-      if (final_emit) {
-        ShufflePacket<Key> p;
-        p.key = entry.key;
-        p.mapper_id = mapper_id;
-        p.record_id = group.first_record;
-        p.blob = MakeDeferredBlob(mapper_id, group.reason, group.message,
-                                  group.first_record);
-        out.push_back(std::move(p));
-      } else {
-        degraded.emplace(entry.key,
-                         SideDegrade{group.reason, std::move(group.message),
-                                     group.first_record});
-      }
-    }
-    if (final_emit) {
-      for (auto& [key, d] : degraded) {
-        ShufflePacket<Key> p;
-        p.key = key;
-        p.mapper_id = mapper_id;
-        p.record_id = d.start_record;
-        p.blob = MakeDeferredBlob(mapper_id, d.reason, d.message, d.start_record);
-        out.push_back(std::move(p));
-      }
-    }
-    return out;
-  };
-
-  LineCursor cursor(segment);
-  uint64_t rid = first_record;
-  while (const auto line = cursor.Next()) {
-    const uint64_t record_id = rid++;
-    ++ts->records;
-    auto rec = Query::Parse(*line);
-    if (!rec.has_value()) {
-      continue;
-    }
-    ++ts->parsed;
-    if (!degraded.empty() && degraded.count(rec->first) > 0) {
-      continue;  // already deferred to concrete replay; skip cheaply
-    }
-    auto [group_ptr, inserted] = groups.GetOrEmplace(rec->first, options);
-    GroupAgg& group = *group_ptr;
-    if (inserted) {
-      group.first_record = record_id;
-      if (budgets.force_degrade) {
-        group.degraded = true;
-        group.reason = DegradeReason::kForced;
-        group.message = "degradation forced by configuration";
-      }
-    }
-    if (group.degraded) {
-      continue;  // the reducer will replay this segment from the raw input
-    }
-    try {
-      group.agg.Feed(rec->second);
-      if (budgets.max_paths_per_segment > 0 &&
-          group.agg.total_paths() > budgets.max_paths_per_segment) {
-        group.degraded = true;
-        group.reason = DegradeReason::kPathBudget;
-        group.message = "segment exceeded max_paths_per_segment = " +
-                        std::to_string(budgets.max_paths_per_segment);
-      }
-    } catch (const SympleError& e) {
-      // Path explosion, coefficient overflow, unsupported op: a declared
-      // limitation of *this group's* UDA stream, not of the query. Degrade
-      // the segment; the original message reaches the run report.
-      group.degraded = true;
-      group.reason = ClassifyDegradeError(e);
-      group.message = e.what();
-    }
-    if (budgeted && ++since_check >= 64) {
-      since_check = 0;
-      if (budget->over() && groups.size() > 0) {
-        std::vector<ShufflePacket<Key>> out = emit_groups(/*final_emit=*/false);
-        ts->packets += out.size();
-        // Clear before the sink charges the packets — the summaries moved
-        // into the blobs, and double-charging at the watermark would spike
-        // peak_tracked_bytes past the budget.
-        groups.Clear();
-        ts->bytes += sink(std::move(out));
-      }
-    }
-  }
-  std::vector<ShufflePacket<Key>> out = emit_groups(/*final_emit=*/true);
-  // Probe/allocation counters accumulate across Clear(), so fold the table's
-  // stats exactly once, after the last incarnation.
-  ts->group_map += groups.stats();
-  return out;
 }
 
 // Concrete replay of one deferred segment: re-runs the UDA sequentially over
@@ -1873,9 +1586,9 @@ void SympleReduceKey(const Dataset& data, ReduceMode mode,
   for (const auto* p = first; p != last; ++p) {
     // Concrete replay covers the key's records from start_record to the end
     // of the segment — which subsumes every later packet this mapper emitted
-    // for the key (possible when a memory budget flushed the segment's table
-    // more than once, docs/spill.md) — so those packets are skipped here,
-    // not applied on top of the replayed records.
+    // for the key (later morsels and budget-flush incarnations of the
+    // segment, docs/spill.md) — so those packets are skipped here, not
+    // applied on top of the replayed records.
     const auto replay = [&](DegradeReason reason, std::string_view message,
                             uint64_t start_record) {
       const auto replay_start = std::chrono::steady_clock::now();
@@ -2029,8 +1742,9 @@ std::vector<ShufflePacket<typename Query::Key>> DeferSegmentPackets(
 // deserializes the ordered rows and runs the UDA concretely. Rows carry no
 // symbolic state that could fail, so there is no defer path: a map error
 // fails the run, a corrupt forked stream is retried.
-template <typename Query>
+template <typename Q>
 struct RowsBody {
+  using Query = Q;
   using Key = typename Query::Key;
   using Packet = ShufflePacket<Key>;
   static constexpr bool kDefers = false;
@@ -2039,12 +1753,38 @@ struct RowsBody {
   const EngineOptions& options;
   size_t seg_hint;
 
-  std::vector<Packet> Map(std::string_view chunk, uint32_t segment_id,
-                          uint64_t first_record, obs::MapTaskObs* ts,
-                          MemoryBudget* budget,
-                          const PacketSink<Key>& sink) const {
-    return BaselineMapSegment<Query>(chunk, segment_id, first_record, ts, seg_hint,
-                                     budget, sink);
+  // A group's rows, in record order.
+  struct Group {
+    Group(const RowsBody& /*body*/, uint64_t first) : first_record(first) {}
+    BinaryWriter rows;
+    uint64_t first_record;
+    uint64_t count = 0;
+  };
+
+  // Appends the event's row. The rows live outside the table's arena, so
+  // their bytes are returned for MapChunk to charge — plus, on a group's
+  // first row, its packet header: the shuffle charges full PacketBytes when
+  // the group is emitted, and pre-charging the header keeps a flush
+  // net-neutral instead of surfacing tens of untracked bytes per group right
+  // at the watermark.
+  uint64_t Feed(Group& g, const Key& key, const typename Query::Event& event) const {
+    const size_t before = g.rows.size();
+    TextKeyCodec<Key>::Write(g.rows, key);
+    Query::SerializeEvent(event, g.rows);
+    uint64_t bytes = g.rows.size() - before;
+    if (g.count++ == 0) {
+      bytes += WireSizeOf(key) + kPacketHeaderOverhead;
+    }
+    return bytes;
+  }
+
+  // [varint row count][rows].
+  std::vector<uint8_t> Emit(Group& g, uint32_t /*mapper_id*/, obs::MapTaskObs* /*ts*/,
+                            bool /*flushing*/) const {
+    BinaryWriter w;
+    w.WriteVarUint(g.count);
+    w.WriteBytes(g.rows.buffer().data(), g.rows.size());
+    return w.TakeBuffer();
   }
 
   void Reduce(const Key& /*key*/, const Packet* first, const Packet* last,
@@ -2067,26 +1807,110 @@ struct RowsBody {
 // onto the concrete initial state or by associative tree composition
 // (Section 3.6); deferred or invalid segments replay concretely from the
 // prefix state (docs/degradation.md).
-template <typename Query>
+//
+// Degradation is per group: a group whose symbolic execution hits a budget
+// or a declared limitation emits a DeferredConcrete marker from its first
+// record instead of summaries, and other groups in the chunk stay symbolic.
+// A marker replays its segment for the key to the end, skipping the mapper's
+// later packets for the key (SympleReduceKey), so a degraded group flushed
+// mid-chunk needs no bookkeeping past its marker.
+template <typename Q>
 struct SummariesBody {
+  using Query = Q;
   using Key = typename Query::Key;
+  using State = typename Query::State;
   using Packet = ShufflePacket<Key>;
+  using UpdateFn = void (*)(State&, const typename Query::Event&);
   static constexpr bool kDefers = true;
 
   const Dataset& data;
   const EngineOptions& options;
   size_t seg_hint;
 
-  std::vector<Packet> Map(std::string_view chunk, uint32_t segment_id,
-                          uint64_t first_record, obs::MapTaskObs* ts,
-                          MemoryBudget* budget,
-                          const PacketSink<Key>& sink) const {
-    return SympleMapSegment<Query>(chunk, segment_id, first_record, options.aggregator,
-                                   options.budgets, ts, seg_hint, budget, sink);
+  struct Group {
+    Group(const SummariesBody& body, uint64_t first)
+        : agg(&Query::Update, body.options.aggregator), first_record(first) {
+      if (body.options.budgets.force_degrade) {
+        Degrade(DegradeReason::kForced, "degradation forced by configuration");
+      }
+    }
+    void Degrade(DegradeReason why, std::string what) {
+      degraded = true;
+      reason = why;
+      message = std::move(what);
+    }
+    SymbolicAggregator<State, typename Query::Event, UpdateFn> agg;
+    uint64_t first_record;
+    bool degraded = false;
+    DegradeReason reason = DegradeReason::kOther;
+    std::string message;
+  };
+
+  // Feeds the event symbolically. Aggregator state lives outside the table's
+  // arena and is not tracked, so nothing is returned to charge.
+  uint64_t Feed(Group& g, const Key& /*key*/, const typename Query::Event& event) const {
+    if (g.degraded) {
+      return 0;  // the reducer replays this group's records
+    }
+    const size_t max_paths = options.budgets.max_paths_per_segment;
+    try {
+      g.agg.Feed(event);
+      if (max_paths > 0 && g.agg.total_paths() > max_paths) {
+        g.Degrade(DegradeReason::kPathBudget,
+                  "segment exceeded max_paths_per_segment = " +
+                      std::to_string(max_paths));
+      }
+    } catch (const SympleError& e) {
+      // Path explosion, coefficient overflow, unsupported op: a declared
+      // limitation of *this group's* UDA stream, not of the query.
+      g.Degrade(ClassifyDegradeError(e), e.what());
+    }
+    return 0;
+  }
+
+  // [kSegmentSymbolic][varint n][n summaries], or the group's DeferredConcrete
+  // marker. A group whose summaries fail to finish or serialize at a budget
+  // flush degrades with reason memory_budget: its fed records cannot leave
+  // the table any other way.
+  std::vector<uint8_t> Emit(Group& g, uint32_t mapper_id, obs::MapTaskObs* ts,
+                            bool flushing) const {
+    ts->exploration += g.agg.stats();
+    const size_t max_bytes = options.budgets.max_summary_bytes_per_segment;
+    if (!g.degraded) {
+      try {
+        const std::vector<Summary<State>> summaries = g.agg.Finish();
+        BinaryWriter body;
+        uint64_t paths = 0;
+        for (const Summary<State>& s : summaries) {
+          paths += s.path_count();
+          s.Serialize(body);
+        }
+        if (max_bytes > 0 && body.size() > max_bytes) {
+          g.Degrade(DegradeReason::kSummaryBytes,
+                    "segment summary of " + std::to_string(body.size()) +
+                        " bytes exceeded max_summary_bytes_per_segment = " +
+                        std::to_string(max_bytes));
+        } else {
+          ts->summaries += summaries.size();
+          ts->summaries_per_group.Record(summaries.size());
+          ts->summary_paths += paths;
+          ts->paths_per_group.Record(paths);
+          BinaryWriter w;
+          w.WriteByte(kSegmentSymbolic);
+          w.WriteVarUint(summaries.size());
+          w.WriteBytes(body.buffer().data(), body.size());
+          return w.TakeBuffer();
+        }
+      } catch (const SympleError& e) {
+        g.Degrade(flushing ? DegradeReason::kMemoryBudget : ClassifyDegradeError(e),
+                  e.what());
+      }
+    }
+    return MakeDeferredBlob(mapper_id, g.reason, g.message, g.first_record);
   }
 
   // Replacement packets for a chunk whose map output is lost — a SympleError
-  // escaped Map (docs/scheduling.md), or a forked worker's stream failed
+  // escaped MapChunk (docs/scheduling.md), or a forked worker's stream failed
   // validation and is untrusted: one DeferredConcrete marker per key, which
   // the reducer replays concretely and accounts then, like every marker.
   std::vector<Packet> Defer(std::string_view chunk, uint32_t segment_id,
@@ -2096,7 +1920,7 @@ struct SummariesBody {
   }
 
   void Reduce(const Key& key, const Packet* first, const Packet* last,
-              typename Query::State& state, DegradeAccounting* acct) const {
+              State& state, DegradeAccounting* acct) const {
     SympleReduceKey<Query>(data, options.reduce_mode, key, first, last, state, acct);
   }
 };
@@ -2156,7 +1980,7 @@ RunResult<Query> RunPipeline(const Dataset& data, const EngineOptions& options) 
   std::mutex out_mu;
   DegradeAccounting degrades;
   RunShuffleAndReduce<Key>(
-      std::move(shuffle), options.reduce_slots, options.reduce_schedule,
+      std::move(shuffle), options.reduce_slots,
       [&result, &out_mu, &body, &degrades](const Key& key, const Packet* first,
                                            const Packet* last) {
         typename Query::State state{};

@@ -212,9 +212,9 @@ inline uint32_t DecodeSegmentDone(BinaryReader r, obs::MapTaskObs* t) {
 // worker's wait4 CPU and peak RSS; per-group histograms stay threaded-only)
 // and one OnWorkerFailure event per kill.
 //
-// Children run body.Map — the thread executor's map body — on whole segments
-// with no budget and no sink: a child is already one core and its own
-// address space, and commit/retry bookkeeping stays per segment. Corrupt
+// Children run MapChunk — the thread executor's map task — on whole segments
+// with no budget and no shuffle to flush into: a child is already one core
+// and its own address space, and commit/retry bookkeeping stays per segment. Corrupt
 // streams (frames failing checksum/version validation) are not retried when
 // Body::kDefers — deterministic corruption would recur — but replaced by
 // body.Defer's markers. A lineage out of retries runs its pending segments
@@ -285,8 +285,8 @@ void RunForkedMapPhase(const Dataset& data, const EngineOptions& options,
           obs::MapTaskObs task;
           const double cpu0 = ThreadCpuMs();
           std::vector<Packet> packets =
-              body.Map(data.segments[s], s, /*first_record=*/0, &task,
-                       /*budget=*/nullptr, /*sink=*/{});
+              MapChunk(body, data.segments[s], s, /*first_record=*/0, &task,
+                       /*budget=*/nullptr, /*shuffle=*/nullptr);
           for (const Packet& p : packets) {
             frame_body.Clear();
             frame_body.WriteVarUint(s);

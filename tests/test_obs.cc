@@ -1,6 +1,6 @@
 // Unit tests for the observability subsystem: histogram bucketing edge cases,
-// concurrent counter increments from ThreadPool workers, span recording and
-// the ring cap, and golden JSON output of the writer/reporter.
+// span recording and the ring cap, and golden JSON output of the
+// writer/reporter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
@@ -99,69 +98,6 @@ TEST(HistogramSnapshot, MergeCombinesCountsAndExtremes) {
   into_empty.Merge(a);
   EXPECT_EQ(into_empty.min, 1u);
   EXPECT_EQ(into_empty.max, 100u);
-}
-
-// --- concurrent metrics ---------------------------------------------------------
-
-TEST(Metrics, CounterSumsConcurrentIncrementsFromThreadPool) {
-  Counter counter;
-  constexpr int kTasks = 64;
-  constexpr int kPerTask = 10000;
-  {
-    ThreadPool pool(8);
-    for (int t = 0; t < kTasks; ++t) {
-      pool.Submit([&counter] {
-        for (int i = 0; i < kPerTask; ++i) {
-          counter.Increment();
-        }
-      });
-    }
-    pool.Wait();
-  }
-  EXPECT_EQ(counter.Value(), static_cast<uint64_t>(kTasks) * kPerTask);
-  counter.Reset();
-  EXPECT_EQ(counter.Value(), 0u);
-}
-
-TEST(Metrics, HistogramScrapeSeesAllConcurrentRecords) {
-  Histogram hist;
-  constexpr int kTasks = 32;
-  constexpr int kPerTask = 2000;
-  {
-    ThreadPool pool(8);
-    for (int t = 0; t < kTasks; ++t) {
-      pool.Submit([&hist, t] {
-        for (int i = 0; i < kPerTask; ++i) {
-          hist.Record(static_cast<uint64_t>(t) + 1);
-        }
-      });
-    }
-    pool.Wait();
-  }
-  const HistogramSnapshot snap = hist.Scrape();
-  EXPECT_EQ(snap.count, static_cast<uint64_t>(kTasks) * kPerTask);
-  EXPECT_EQ(snap.min, 1u);
-  EXPECT_EQ(snap.max, static_cast<uint64_t>(kTasks));
-}
-
-TEST(Metrics, RegistryReturnsStableHandlesAndScrapes) {
-  MetricsRegistry registry;
-  Counter* c1 = registry.GetCounter("requests");
-  Counter* c2 = registry.GetCounter("requests");
-  EXPECT_EQ(c1, c2);
-  c1->Add(3);
-  registry.GetGauge("depth")->Set(-7);
-  registry.GetHistogram("latency")->Record(12);
-
-  const MetricsRegistry::Snapshot snap = registry.Scrape();
-  EXPECT_EQ(snap.counters.at("requests"), 3u);
-  EXPECT_EQ(snap.gauges.at("depth"), -7);
-  EXPECT_EQ(snap.histograms.at("latency").count, 1u);
-
-  registry.ResetAll();
-  const MetricsRegistry::Snapshot zeroed = registry.Scrape();
-  EXPECT_EQ(zeroed.counters.at("requests"), 0u);
-  EXPECT_EQ(zeroed.histograms.at("latency").count, 0u);
 }
 
 // --- tracer ---------------------------------------------------------------------

@@ -158,9 +158,11 @@ TEST(GroupOrdering, BaselineMapSegmentEmitsFirstSeenOrder) {
   const std::string& segment = data.segments[0];
   const auto expected = FirstSeenKeys<G1OnlyPushes>(segment);
   ASSERT_GT(expected.size(), 10u);
+  const EngineOptions options;
   obs::MapTaskObs ts;
-  const auto packets = internal::BaselineMapSegment<G1OnlyPushes>(
-      segment, 0, /*first_record=*/0, &ts);
+  const auto packets = internal::MapChunk(
+      internal::RowsBody<G1OnlyPushes>{data, options, 0}, segment, 0,
+      /*first_record=*/0, &ts, /*budget=*/nullptr, /*shuffle=*/nullptr);
   ASSERT_EQ(packets.size(), expected.size());
   for (size_t i = 0; i < packets.size(); ++i) {
     EXPECT_EQ(packets[i].key, expected[i]) << "packet " << i << " out of order";
@@ -171,10 +173,11 @@ TEST(GroupOrdering, SympleMapSegmentEmitsFirstSeenOrder) {
   const Dataset data = OrderingDataset(1);
   const std::string& segment = data.segments[0];
   const auto expected = FirstSeenKeys<G1OnlyPushes>(segment);
+  const EngineOptions options;
   obs::MapTaskObs ts;
-  const auto packets = internal::SympleMapSegment<G1OnlyPushes>(
-      segment, 0, /*first_record=*/0, AggregatorOptions{}, DegradeBudgets{},
-      &ts);
+  const auto packets = internal::MapChunk(
+      internal::SummariesBody<G1OnlyPushes>{data, options, 0}, segment, 0,
+      /*first_record=*/0, &ts, /*budget=*/nullptr, /*shuffle=*/nullptr);
   ASSERT_EQ(packets.size(), expected.size());
   for (size_t i = 0; i < packets.size(); ++i) {
     EXPECT_EQ(packets[i].key, expected[i]) << "packet " << i << " out of order";

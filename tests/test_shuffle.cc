@@ -168,8 +168,8 @@ TEST(ShuffleOrderProperty, PartitionedOrderMatchesGlobalSort) {
 }
 
 // Drives RunShuffleAndReduce directly: every key must be reduced exactly once
-// with its full ordered run, under both schedules and several partition/slot
-// shapes, including slots > groups and partitions > groups.
+// with its full ordered run, under several partition/slot shapes, including
+// slots > groups and partitions > groups.
 TEST(ShuffleSchedule, EverySchedulePreservesRunsAndOrder) {
   SplitMix64 rng(47);
   std::vector<ShufflePacket<int64_t>> packets;
@@ -185,36 +185,32 @@ TEST(ShuffleSchedule, EverySchedulePreservesRunsAndOrder) {
     expected[p.key].emplace_back(p.mapper_id, p.record_id);
   }
 
-  for (const auto schedule : {ReduceSchedule::kStatic, ReduceSchedule::kLargestFirst}) {
-    for (const size_t parts : {size_t{1}, size_t{4}, size_t{32}}) {
-      for (const size_t slots : {size_t{1}, size_t{3}, size_t{8}}) {
-        ShuffleBuffer<int64_t> shuffle(parts);
-        auto batch = packets;
-        shuffle.AddBatch(std::move(batch));
-        std::mutex mu;
-        std::map<int64_t, std::vector<std::pair<uint32_t, uint64_t>>> actual;
-        EngineStats stats;
-        internal::RunShuffleAndReduce<int64_t>(
-            std::move(shuffle), slots, schedule,
-            [&mu, &actual](const int64_t& key, const ShufflePacket<int64_t>* first,
-                           const ShufflePacket<int64_t>* last) {
-              std::vector<std::pair<uint32_t, uint64_t>> run;
-              for (const auto* p = first; p != last; ++p) {
-                run.emplace_back(p->mapper_id, p->record_id);
-              }
-              std::lock_guard<std::mutex> lock(mu);
-              auto [it, inserted] = actual.emplace(key, std::move(run));
-              EXPECT_TRUE(inserted) << "key " << key << " reduced twice";
-            },
-            &stats);
-        EXPECT_EQ(actual, expected)
-            << "schedule=" << (schedule == ReduceSchedule::kStatic ? "static" : "lpt")
-            << " parts=" << parts << " slots=" << slots;
-        EXPECT_EQ(stats.groups, expected.size());
-        EXPECT_EQ(stats.reduce_partitions, parts);
-        EXPECT_GE(stats.partition_skew, 1.0);
-        EXPECT_LE(stats.partition_skew, static_cast<double>(parts) + 1e-9);
-      }
+  for (const size_t parts : {size_t{1}, size_t{4}, size_t{32}}) {
+    for (const size_t slots : {size_t{1}, size_t{3}, size_t{8}}) {
+      ShuffleBuffer<int64_t> shuffle(parts);
+      auto batch = packets;
+      shuffle.AddBatch(std::move(batch));
+      std::mutex mu;
+      std::map<int64_t, std::vector<std::pair<uint32_t, uint64_t>>> actual;
+      EngineStats stats;
+      internal::RunShuffleAndReduce<int64_t>(
+          std::move(shuffle), slots,
+          [&mu, &actual](const int64_t& key, const ShufflePacket<int64_t>* first,
+                         const ShufflePacket<int64_t>* last) {
+            std::vector<std::pair<uint32_t, uint64_t>> run;
+            for (const auto* p = first; p != last; ++p) {
+              run.emplace_back(p->mapper_id, p->record_id);
+            }
+            std::lock_guard<std::mutex> lock(mu);
+            auto [it, inserted] = actual.emplace(key, std::move(run));
+            EXPECT_TRUE(inserted) << "key " << key << " reduced twice";
+          },
+          &stats);
+      EXPECT_EQ(actual, expected) << "parts=" << parts << " slots=" << slots;
+      EXPECT_EQ(stats.groups, expected.size());
+      EXPECT_EQ(stats.reduce_partitions, parts);
+      EXPECT_GE(stats.partition_skew, 1.0);
+      EXPECT_LE(stats.partition_skew, static_cast<double>(parts) + 1e-9);
     }
   }
 }
@@ -223,7 +219,7 @@ TEST(ShuffleSchedule, EmptyShuffleReportsZeroSkew) {
   ShuffleBuffer<int64_t> shuffle(4);
   EngineStats stats;
   internal::RunShuffleAndReduce<int64_t>(
-      std::move(shuffle), 3, ReduceSchedule::kLargestFirst,
+      std::move(shuffle), 3,
       [](const int64_t&, const ShufflePacket<int64_t>*,
          const ShufflePacket<int64_t>*) { FAIL() << "reduce on empty shuffle"; },
       &stats);
@@ -272,9 +268,9 @@ TEST(ShuffleEdge, SingleRecordAllEngines) {
   EXPECT_EQ(sym.stats.groups, 1u);
 }
 
-// Partition-count and schedule sweeps must stay byte-identical to sequential,
-// including with degraded segments crossing partitions (force_degrade sends
-// every key run down the concrete-replay path).
+// Partition-count sweeps must stay byte-identical to sequential, including
+// with degraded segments crossing partitions (force_degrade sends every key
+// run down the concrete-replay path).
 TEST(ShuffleEquivalence, PartitionAndScheduleSweep) {
   GithubGenParams p;
   p.num_records = 4000;
@@ -284,17 +280,13 @@ TEST(ShuffleEquivalence, PartitionAndScheduleSweep) {
   const Dataset data = GenerateGithubLog(p);
   const auto seq = RunSequential<G3PullWindowOps>(data);
   for (const size_t parts : {size_t{1}, size_t{3}, size_t{8}}) {
-    for (const auto schedule :
-         {ReduceSchedule::kStatic, ReduceSchedule::kLargestFirst}) {
-      EngineOptions options;
-      options.reduce_partitions = parts;
-      options.reduce_schedule = schedule;
-      const auto mr = RunBaselineMapReduce<G3PullWindowOps>(data, options);
-      const auto sym = RunSymple<G3PullWindowOps>(data, options);
-      EXPECT_TRUE(mr.outputs == seq.outputs) << "baseline parts=" << parts;
-      EXPECT_TRUE(sym.outputs == seq.outputs) << "symple parts=" << parts;
-      EXPECT_EQ(sym.stats.reduce_partitions, parts);
-    }
+    EngineOptions options;
+    options.reduce_partitions = parts;
+    const auto mr = RunBaselineMapReduce<G3PullWindowOps>(data, options);
+    const auto sym = RunSymple<G3PullWindowOps>(data, options);
+    EXPECT_TRUE(mr.outputs == seq.outputs) << "baseline parts=" << parts;
+    EXPECT_TRUE(sym.outputs == seq.outputs) << "symple parts=" << parts;
+    EXPECT_EQ(sym.stats.reduce_partitions, parts);
   }
 }
 
@@ -324,17 +316,13 @@ TEST(ShuffleEquivalence, ForkedEnginesWithExplicitPartitions) {
   p.filler_bytes = 8;
   const Dataset data = GenerateGithubLog(p);
   const auto seq = RunSequential<G1OnlyPushes>(data);
-  for (const auto schedule :
-       {ReduceSchedule::kStatic, ReduceSchedule::kLargestFirst}) {
-    EngineOptions options;
-    options.reduce_partitions = 3;
-    options.reduce_schedule = schedule;
-    const auto sym = RunSympleForked<G1OnlyPushes>(data, options);
-    const auto mr = RunBaselineForked<G1OnlyPushes>(data, options);
-    EXPECT_TRUE(sym.outputs == seq.outputs);
-    EXPECT_TRUE(mr.outputs == seq.outputs);
-    EXPECT_EQ(sym.stats.reduce_partitions, 3u);
-  }
+  EngineOptions options;
+  options.reduce_partitions = 3;
+  const auto sym = RunSympleForked<G1OnlyPushes>(data, options);
+  const auto mr = RunBaselineForked<G1OnlyPushes>(data, options);
+  EXPECT_TRUE(sym.outputs == seq.outputs);
+  EXPECT_TRUE(mr.outputs == seq.outputs);
+  EXPECT_EQ(sym.stats.reduce_partitions, 3u);
 }
 
 }  // namespace

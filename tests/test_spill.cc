@@ -3,10 +3,10 @@
 // file/dir cleanup including the throw path, the checksummed spill block
 // format, budget-triggered spilling in the four map/shuffle/reduce engines
 // with output byte-identical to the unbudgeted sequential oracle (which
-// never spills), multi-run merge order for order-sensitive queries, every
-// SYMPLE_FAULT_SPEC spill-* mode (retry then graceful in-memory fallback),
-// and zero leaked temp files after injected disk failures. Runs under the
-// asan preset.
+// never spills), multi-run merge order for order-sensitive queries, budget
+// flushes of groups that degraded at the mapper, every SYMPLE_FAULT_SPEC
+// spill-* mode (retry then graceful in-memory fallback), and zero leaked
+// temp files after injected disk failures. Runs under the asan preset.
 #include "runtime/spill.h"
 
 #include <dirent.h>
@@ -23,6 +23,7 @@
 
 #include "common/arena.h"
 #include "common/memory_budget.h"
+#include "common/rng.h"
 #include "common/text.h"
 #include "core/flat_group_map.h"
 #include "queries/all_queries.h"
@@ -440,6 +441,97 @@ TEST(Spill, DeferredMarkerReplaysFromItsStartRecord) {
   EXPECT_EQ(state.deposits.Value(), 1);
   EXPECT_EQ(acct.degraded_segments, 1u);
   EXPECT_EQ(acct.reasons[static_cast<size_t>(DegradeReason::kMemoryBudget)], 1u);
+}
+
+// --- budget flushes combined with map-side degradation ------------------------
+
+// A ledger whose Update refuses symbolic state for odd accounts, so every odd
+// account's group degrades at the mapper while even accounts stay symbolic.
+struct AccountEvent {
+  int64_t account = 0;
+  int64_t amount = 0;
+};
+
+std::optional<std::pair<int64_t, AccountEvent>> AccountParse(std::string_view line) {
+  const auto rec = LedgerParse(line);
+  if (!rec) {
+    return std::nullopt;
+  }
+  return std::make_pair(rec->first, AccountEvent{rec->first, rec->second.amount});
+}
+
+void OddAccountsUnsupportedUpdate(LedgerState& s, const AccountEvent& e) {
+  if (e.account % 2 != 0 && !s.total.is_concrete()) {
+    throw SympleUnsupportedOpError("odd accounts cannot run symbolically");
+  }
+  s.total += e.amount;
+  if (e.amount > 0) {
+    s.deposits += 1;
+  }
+}
+
+void AccountSerialize(const AccountEvent& e, BinaryWriter& w) {
+  WriteTextRow(w, {e.account, e.amount});
+}
+
+AccountEvent AccountDeserialize(BinaryReader& r) {
+  const auto row = ReadTextRow<2>(r);
+  return AccountEvent{row[0], row[1]};
+}
+
+using OddUnsupportedLedger =
+    LambdaQuery<"odd_unsupported_ledger", &AccountParse, &OddAccountsUnsupportedUpdate,
+                &LedgerResult, &AccountSerialize, &AccountDeserialize>;
+
+TEST(Spill, BudgetFlushComposesWithDegradedGroups) {
+  // Mid-chunk budget flushes ship healthy groups' summaries-so-far and the
+  // degraded groups' replay markers; the reducer must compose both back into
+  // the sequential result at every morsel granularity.
+  SplitMix64 rng(2015);
+  std::vector<std::vector<std::string>> segments(6);
+  for (auto& segment : segments) {
+    for (int i = 0; i < 1500; ++i) {
+      const int64_t account = static_cast<int64_t>(rng.Below(400));
+      const int64_t amount = static_cast<int64_t>(rng.Below(200)) - 100;
+      segment.push_back(std::to_string(account) + "\t" + std::to_string(amount));
+    }
+  }
+  const Dataset data = DatasetFromLines(segments);
+  const auto ref = RunSequential<OddUnsupportedLedger>(data);
+  for (const size_t morsel : {size_t{0}, size_t{300}, size_t{1} << 30}) {
+    EngineOptions unbudgeted;
+    unbudgeted.morsel_records = morsel;
+    EngineOptions budgeted = TinyBudgetOptions();
+    budgeted.morsel_records = morsel;
+    const auto plain = RunSymple<OddUnsupportedLedger>(data, unbudgeted);
+    const auto sym = RunSymple<OddUnsupportedLedger>(data, budgeted);
+    EXPECT_TRUE(plain.outputs == ref.outputs) << "morsel_records=" << morsel;
+    EXPECT_TRUE(sym.outputs == ref.outputs) << "morsel_records=" << morsel;
+    EXPECT_GT(sym.stats.degraded_segments, 0u) << "morsel_records=" << morsel;
+    EXPECT_EQ(sym.stats.degraded_segments, plain.stats.degraded_segments)
+        << "morsel_records=" << morsel;
+    // Flushed incarnations ship extra packets, so a run that really flushed
+    // crosses more bytes than the same run without a budget.
+    EXPECT_GT(sym.stats.shuffle_bytes, plain.stats.shuffle_bytes)
+        << "morsel_records=" << morsel;
+  }
+}
+
+TEST(Spill, DegradedGroupsStillFlushUnderBudget) {
+  // Every parsed record counts toward the map task's budget check, including
+  // records of groups that already degraded: a table whose groups all
+  // degraded must still flush instead of growing past the budget. One map
+  // slot keeps the peak deterministic; the tiny budget sits below the
+  // per-table floor, so the bound is the healthy run's peak, not the budget.
+  const Dataset data = SmallGithub();
+  const auto ref = RunSequential<G1OnlyPushes>(data);
+  const auto healthy = RunSymple<G1OnlyPushes>(data, SingleThreadBudgetOptions());
+  EngineOptions forced = SingleThreadBudgetOptions();
+  forced.budgets.force_degrade = true;
+  const auto sym = RunSymple<G1OnlyPushes>(data, forced);
+  EXPECT_TRUE(sym.outputs == ref.outputs);
+  EXPECT_GT(sym.stats.degraded_segments, 0u);
+  EXPECT_LE(sym.stats.peak_tracked_bytes, healthy.stats.peak_tracked_bytes * 3 / 2);
 }
 
 // --- fault-injected engine runs ---------------------------------------------

@@ -292,10 +292,11 @@ struct GoldenSegment {
 GoldenSegment MakeGoldenSegment() {
   GoldenSegment g;
   g.data = DatasetFromLines({{"1\t5", "1\t-3", "1\t7"}});
+  const EngineOptions options;
   obs::MapTaskObs ts;
-  auto packets = internal::SympleMapSegment<LedgerQuery>(
-      g.data.segments[0], 0, /*first_record=*/0, AggregatorOptions{},
-      DegradeBudgets{}, &ts);
+  auto packets = internal::MapChunk(
+      internal::SummariesBody<LedgerQuery>{g.data, options, 0}, g.data.segments[0], 0,
+      /*first_record=*/0, &ts, /*budget=*/nullptr, /*shuffle=*/nullptr);
   EXPECT_EQ(packets.size(), 1u);
   g.packet = std::move(packets[0]);
   return g;
