@@ -53,7 +53,6 @@ struct Options {
   // Forked-engine fault-tolerance knobs (EngineOptions defaults when < 0).
   int worker_timeout_ms = -1;
   int worker_retries = -1;
-  int worker_backoff_ms = -1;
   // Symbolic→concrete degradation knobs (docs/degradation.md); 0 = unlimited.
   size_t path_budget = 0;
   size_t summary_bytes_budget = 0;
@@ -78,27 +77,26 @@ void PrintStats(const char* label, const symple::EngineStats& stats, bool ok) {
 
 void PrintWorkerFaults(const symple::EngineStats& stats) {
   if (stats.worker_retries + stats.worker_timeouts + stats.worker_crashes +
-          stats.fallback_segments ==
+          stats.wire_corrupt_frames + stats.fallback_segments ==
       0) {
     return;
   }
   std::printf("  faults:   %llu retries, %llu timeouts, %llu crashes, "
-              "%llu segments ran in-process\n",
+              "%llu corrupt frames, %llu segments ran in-process\n",
               static_cast<unsigned long long>(stats.worker_retries),
               static_cast<unsigned long long>(stats.worker_timeouts),
               static_cast<unsigned long long>(stats.worker_crashes),
+              static_cast<unsigned long long>(stats.wire_corrupt_frames),
               static_cast<unsigned long long>(stats.fallback_segments));
 }
 
 void PrintDegrades(const symple::EngineStats& stats) {
-  if (stats.degraded_segments + stats.wire_corrupt_frames == 0) {
+  if (stats.degraded_segments == 0) {
     return;
   }
-  std::printf("  degrades: %llu segments replayed concretely (%llu records), "
-              "%llu corrupt frames\n",
+  std::printf("  degrades: %llu segments replayed concretely (%llu records)\n",
               static_cast<unsigned long long>(stats.degraded_segments),
-              static_cast<unsigned long long>(stats.replayed_records),
-              static_cast<unsigned long long>(stats.wire_corrupt_frames));
+              static_cast<unsigned long long>(stats.replayed_records));
   for (size_t i = 0; i < symple::kDegradeReasonCount; ++i) {
     if (stats.degrade_reasons[i] > 0) {
       std::printf("            %s: %llu\n",
@@ -192,9 +190,6 @@ int RunQuery(const Options& options, symple::Dataset data) {
     }
     if (options.worker_retries >= 0) {
       engine_options.worker_retry_limit = options.worker_retries;
-    }
-    if (options.worker_backoff_ms >= 0) {
-      engine_options.worker_retry_backoff_ms = options.worker_backoff_ms;
     }
     engine_options.budgets.max_paths_per_segment = options.path_budget;
     engine_options.budgets.max_summary_bytes_per_segment =
@@ -354,8 +349,6 @@ int main(int argc, char** argv) {
       options.worker_timeout_ms = std::atoi(value.c_str());
     } else if (FlagValue(argc, argv, i, "--worker-retries", &value)) {
       options.worker_retries = std::atoi(value.c_str());
-    } else if (FlagValue(argc, argv, i, "--worker-backoff-ms", &value)) {
-      options.worker_backoff_ms = std::atoi(value.c_str());
     } else if (FlagValue(argc, argv, i, "--path-budget", &value)) {
       options.path_budget = static_cast<size_t>(std::atoll(value.c_str()));
     } else if (FlagValue(argc, argv, i, "--summary-bytes-budget", &value)) {
@@ -400,8 +393,7 @@ int main(int argc, char** argv) {
                 "[--engine sequential|mapreduce|symple|all|forked]\n"
                 "                 [--trace-out FILE] [--stats-json FILE] "
                 "[--explain]\n"
-                "                 [--worker-timeout-ms N] [--worker-retries N] "
-                "[--worker-backoff-ms N]\n"
+                "                 [--worker-timeout-ms N] [--worker-retries N]\n"
                 "                 [--path-budget N] [--summary-bytes-budget N] "
                 "[--force-degrade]\n"
                 "                 [--reduce-partitions N] "

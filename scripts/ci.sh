@@ -5,8 +5,9 @@
 # TSan (filters live in CMakePresets.json) — then the smoke-mode
 # perf gate (bench_compare over two bench_smoke runs + checked-in fixtures),
 # the full-size bench gates (bench_groupmap, bench_spill, bench_morsel,
-# bench_shuffle_skew), the bench/e2e smoke, and one --explain bottleneck
-# report as a human-readable tail.
+# bench_shuffle_skew), the bench/e2e smoke, a forked-worker fault smoke
+# (every worker corrupts a frame; both forked engines must still match
+# sequential), and one --explain bottleneck report as a human-readable tail.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -94,6 +95,13 @@ fi
 cmake -S bench/e2e -B build/e2e
 cmake --build build/e2e -j "${CI_JOBS:-$(nproc)}"
 ctest --test-dir build/e2e
+
+# --- forked-worker fault smoke ------------------------------------------------
+# Every worker spawn, retries included, corrupts its third frame: each lineage
+# is killed, respawned, and finally re-executed in-process. query_cli exits 1
+# if either forked engine diverges from the sequential output.
+build/examples/query_cli G1 --records 40000 --engine forked \
+  --fault 'corrupt:worker=*:frame=2'
 
 # --- bottleneck report -------------------------------------------------------
 # One skewed shuffle run with --explain so every CI log carries a current

@@ -1,13 +1,15 @@
 // Symbolic→concrete degradation vocabulary.
 //
-// SYMPLE's escape hatch (paper Section 5.2; ISSUE 3): when symbolic
-// execution of a map segment hits a declared limitation — path explosion,
-// coefficient overflow, an unsupported operation, a resource budget, or
-// corrupt wire bytes — the engine does not abort the query. The segment
-// degrades to a DeferredConcrete marker and the reducer replays it
-// concretely from the already-composed prefix state, preserving exact
-// sequential semantics. This header names the reasons a segment can
-// degrade and maps the error taxonomy (common/error.h) onto them.
+// SYMPLE's escape hatch (paper Section 5.2): when symbolic execution of a
+// map segment hits a declared limitation — path explosion, coefficient
+// overflow, an unsupported operation or a resource budget — or its summary
+// fails validation at the reducer, the engine does not abort the query. The
+// segment degrades to a DeferredConcrete marker (or, at the reducer, straight
+// to replay) and the reducer replays it concretely from the already-composed
+// prefix state, preserving exact sequential semantics. Lost map output — a
+// crashed or corrupting forked worker — is re-executed instead, never
+// degraded. This header names the reasons a segment can degrade and maps the
+// error taxonomy (common/error.h) onto them.
 #ifndef SYMPLE_CORE_DEGRADE_H_
 #define SYMPLE_CORE_DEGRADE_H_
 
@@ -27,11 +29,10 @@ enum class DegradeReason : uint8_t {
   kSummaryBytes = 3,    // EngineOptions max_summary_bytes_per_segment exceeded
   kOverflow = 4,        // SymInt/affine coefficient overflow
   kUnsupportedOp = 5,   // SymPred registry miss or similar
-  kWireCorrupt = 6,     // checksum/canonical-form validation failure
+  kWireCorrupt = 6,     // packet blob failed the reducer's validation
   kOther = 7,           // any other SympleError caught at segment granularity
-  kMemoryBudget = 8,    // memory budget crossed and the segment could not
-                        // spill (docs/spill.md): state mid-symbolic-exploration
-                        // failed to serialize, or the spill disk failed twice
+  kMemoryBudget = 8,    // a group's summaries failed to finish or serialize
+                        // at a memory-budget flush (docs/spill.md)
 };
 
 inline constexpr size_t kDegradeReasonCount = 9;

@@ -143,12 +143,11 @@ struct EngineOptions {
   // Forked-process engines only (process_engine.h). A worker that delivers no
   // bytes for worker_timeout_ms is declared hung, killed, and its incomplete
   // segments re-executed; 0 disables the watchdog. Each worker lineage gets
-  // worker_retry_limit respawns (with worker_retry_backoff_ms base backoff,
-  // doubled per attempt) before the parent falls back to executing the
-  // remaining segments in-process.
+  // worker_retry_limit respawns (internal::kWorkerRetryBackoffMs base
+  // backoff, doubled per attempt) before the parent falls back to executing
+  // the remaining segments in-process.
   int worker_timeout_ms = 30000;
   int worker_retry_limit = 2;
-  int worker_retry_backoff_ms = 5;
   // Memory-budgeted execution of the map/shuffle/reduce engines
   // (docs/spill.md). When the run's tracked allocation — group-table arenas
   // + bucket indexes + buffered shuffle packets — crosses
@@ -381,233 +380,18 @@ size_t ShufflePartitionOf(const Key& key, size_t num_partitions) {
   return static_cast<size_t>(HashGroupKey(key) % num_partitions);
 }
 
-// --- spill-to-disk external aggregation (docs/spill.md) -------------------------
-
-// The on-disk half of the shuffle under a memory budget: per-partition
-// collections of sorted packet runs. Producers are map tasks (through
-// ShuffleBuffer::MaybeSpill) and the forked parent drain; the reduce stage
-// streams each partition back through MergePartition. Thread-safe for
-// concurrent SpillSortedRun calls; the temp directory is created lazily on
-// the first spill and removed — with any files still inside — when the
-// context is destroyed.
-template <typename Key>
-class SpillContext {
- public:
-  using Packet = ShufflePacket<Key>;
-
-  SpillContext(MemoryBudget* budget, size_t num_partitions,
-               const std::string& dir_base)
-      : budget_(budget),
-        dir_base_(dir_base),
-        faults_(SpillFaultFromEnv()),
-        runs_(num_partitions == 0 ? 1 : num_partitions) {}
-
-  // Spilling is worth attempting only when a budget can actually trip, and
-  // stops after the disk has proven itself broken (two failed attempts).
-  bool enabled() const {
-    return budget_ != nullptr && budget_->limit_bytes() > 0 &&
-           !broken_.load(std::memory_order_relaxed);
-  }
-
-  // Writes `packets` — already sorted by the Section 5.4 packet order — as
-  // one run of partition `part`. Every run is verified by read-back while
-  // the packets are still in memory; a failed or corrupt file is discarded
-  // and the run retried once on a fresh file. Returns false when the retry
-  // also failed: the caller keeps the packets in memory (over budget beats
-  // wrong or lost results) and the context disables itself.
-  bool SpillSortedRun(size_t part, const std::vector<Packet>& packets) {
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      try {
-        if (TrySpill(part, packets)) {
-          return true;
-        }
-      } catch (const SympleError&) {
-        // enospc / short write: the attempt's TempFile was already unlinked
-        // by its destructor; fall through to the fresh-file retry.
-      }
-    }
-    broken_.store(true, std::memory_order_relaxed);
-    return false;
-  }
-
-  bool has_runs(size_t part) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return !runs_[part].empty();
-  }
-  uint64_t total_runs() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    uint64_t n = 0;
-    for (const auto& part : runs_) {
-      n += part.size();
-    }
-    return n;
-  }
-  uint64_t total_bytes() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    uint64_t n = 0;
-    for (const auto& part : runs_) {
-      for (const SpillRun& run : part) {
-        n += run.bytes;
-      }
-    }
-    return n;
-  }
-
-  // Streams partition `part` back in global (key, mapper, record) order: a
-  // k-way merge of the partition's on-disk runs and `mem`, its sorted
-  // in-memory remainder. Each key's packets are gathered into a scratch
-  // vector and handed to `fn(key, first, last)` — the same per-key contract
-  // the in-memory reduce uses, so downstream reduce code cannot tell a
-  // spilled partition from a resident one. Call only after all producers
-  // have quiesced.
-  template <typename Fn>
-  void MergePartition(size_t part, std::vector<Packet>&& mem, Fn&& fn) {
-    std::vector<std::unique_ptr<RunCursor>> cursors;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      cursors.reserve(runs_[part].size());
-      for (const SpillRun& run : runs_[part]) {
-        cursors.push_back(std::make_unique<RunCursor>(run.file->path()));
-      }
-    }
-    size_t mem_pos = 0;
-    const auto pop_min = [&](Packet* out) {
-      const Packet* best = mem_pos < mem.size() ? &mem[mem_pos] : nullptr;
-      int best_cursor = -1;
-      for (size_t c = 0; c < cursors.size(); ++c) {
-        if (!cursors[c]->done() &&
-            (best == nullptr || cursors[c]->head() < *best)) {
-          best = &cursors[c]->head();
-          best_cursor = static_cast<int>(c);
-        }
-      }
-      if (best == nullptr) {
-        return false;
-      }
-      if (best_cursor < 0) {
-        *out = std::move(mem[mem_pos++]);
-      } else {
-        *out = std::move(cursors[best_cursor]->head());
-        cursors[best_cursor]->Pop();
-      }
-      return true;
-    };
-    std::vector<Packet> scratch;
-    Packet p;
-    while (pop_min(&p)) {
-      if (!scratch.empty() && !(scratch.front().key == p.key)) {
-        fn(scratch.front().key, scratch.data(), scratch.data() + scratch.size());
-        scratch.clear();
-      }
-      scratch.push_back(std::move(p));
-    }
-    if (!scratch.empty()) {
-      fn(scratch.front().key, scratch.data(), scratch.data() + scratch.size());
-    }
-  }
-
- private:
-  struct SpillRun {
-    std::unique_ptr<TempFile> file;
-    uint64_t packets = 0;
-    uint64_t bytes = 0;  // on-disk bytes including block envelopes
-  };
-
-  // Buffered sequential reader over one run file: deserializes a block's
-  // packets at a time, exposing the head packet for the merge's min-scan.
-  class RunCursor {
-   public:
-    explicit RunCursor(const std::string& path) : reader_(path) { Refill(); }
-    bool done() const { return done_; }
-    Packet& head() { return buf_[pos_]; }
-    void Pop() {
-      if (++pos_ == buf_.size()) {
-        Refill();
-      }
-    }
-
-   private:
-    void Refill() {
-      buf_.clear();
-      pos_ = 0;
-      uint8_t type = 0;
-      std::vector<uint8_t> body;
-      while (buf_.empty()) {
-        if (!reader_.NextBlock(&type, &body)) {
-          done_ = true;
-          return;
-        }
-        if (type != kSpillBlockPackets) {
-          throw SympleWireError("unexpected spill block type in packet run");
-        }
-        BinaryReader r(body.data(), body.size());
-        while (!r.AtEnd()) {
-          buf_.push_back(DeserializePacketFrame<Key>(r));
-        }
-      }
-    }
-
-    SpillFileReader reader_;
-    std::vector<Packet> buf_;
-    size_t pos_ = 0;
-    bool done_ = false;
-  };
-
-  // One attempt: serialize into ~kSpillBlockTargetBytes blocks, then verify
-  // the whole file by read-back (the spill-corrupt detection point — the
-  // packets are still in memory, so a corrupt file costs a retry, never
-  // data). Returns false on verification failure; throws SympleIoError on a
-  // write failure. Either way the attempt's file never enters runs_.
-  bool TrySpill(size_t part, const std::vector<Packet>& packets) {
-    std::unique_ptr<TempFile> file;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (dir_ == nullptr) {
-        dir_ = std::make_unique<TempDir>(dir_base_);
-      }
-      file = std::make_unique<TempFile>(
-          dir_->path(), "run-" + std::to_string(file_seq_++) + ".spill");
-    }
-    SpillFileWriter writer(file.get(), &faults_);
-    BinaryWriter body;
-    for (const Packet& p : packets) {
-      SerializePacketFrame(p, body);
-      if (body.size() >= kSpillBlockTargetBytes) {
-        writer.WriteBlock(kSpillBlockPackets, body.buffer());
-        body.Clear();
-      }
-    }
-    if (body.size() > 0) {
-      writer.WriteBlock(kSpillBlockPackets, body.buffer());
-    }
-    file->CloseFd();
-    if (!VerifySpillFile(file->path(), writer.blocks_written())) {
-      return false;
-    }
-    SpillRun run;
-    run.packets = packets.size();
-    run.bytes = writer.bytes_written();
-    run.file = std::move(file);
-    std::lock_guard<std::mutex> lock(mu_);
-    runs_[part].push_back(std::move(run));
-    return true;
-  }
-
-  MemoryBudget* budget_;
-  std::string dir_base_;
-  SpillFaultInjector faults_;
-  mutable std::mutex mu_;
-  std::unique_ptr<TempDir> dir_;  // lazy: no directory until the first spill
-  uint64_t file_seq_ = 0;
-  std::vector<std::vector<SpillRun>> runs_;
-  std::atomic<bool> broken_{false};
-};
-
 // The mapper->reducer exchange: P lock-striped partitions that map tasks (or
 // the forked-mode parent drain) route packets into as they emit. Each
 // partition is later sorted independently and in parallel, replacing the old
 // single-threaded global sort. Byte counts accumulate per partition so the
 // run report can surface partition skew.
+//
+// Under a memory budget it is also the run's external sort (docs/spill.md):
+// once the budget reports over(), the heaviest partition's buffered packets
+// are sorted and moved out as an on-disk run, and the reduce stage streams a
+// spilled partition back through MergePartition. The temp directory is
+// created on the first spill and removed — with any files still inside —
+// when the buffer is destroyed.
 template <typename Key>
 class ShuffleBuffer {
  public:
@@ -616,8 +400,15 @@ class ShuffleBuffer {
   // `expected_packets`, when nonzero, pre-reserves every partition's packet
   // vector for its even share (plus slack for hash imbalance) so the build
   // side does not reallocate its way up from empty on large shuffles.
-  explicit ShuffleBuffer(size_t num_partitions, uint64_t expected_packets = 0)
-      : parts_(num_partitions == 0 ? 1 : num_partitions) {
+  // `budget`, when set, is charged for every buffered packet byte, and a
+  // nonzero limit makes the buffer spill into a temp directory under
+  // `spill_dir` (TMPDIR / /tmp when empty).
+  explicit ShuffleBuffer(size_t num_partitions, uint64_t expected_packets = 0,
+                         MemoryBudget* budget = nullptr, std::string spill_dir = {})
+      : budget_(budget),
+        spill_dir_(std::move(spill_dir)),
+        faults_(SpillFaultFromEnv()),
+        parts_(num_partitions == 0 ? 1 : num_partitions) {
     const size_t per_part =
         expected_packets > 0
             ? static_cast<size_t>(expected_packets / parts_.size() +
@@ -642,15 +433,6 @@ class ShuffleBuffer {
   }
 
   size_t partition_count() const { return parts_.size(); }
-
-  // Attaches the run's memory tracker and disk spill target: Add/AddBatch
-  // charge buffered packet bytes against `budget`, and once it reports
-  // over(), the heaviest partition's buffered packets are sorted and moved
-  // out as an on-disk run (docs/spill.md). Call before any producer starts.
-  void EnableSpill(MemoryBudget* budget, SpillContext<Key>* spill) {
-    budget_ = budget;
-    spill_ = spill;
-  }
 
   // Routes one packet (single or low-contention producers, e.g. the forked
   // parent drain). `bytes` is the packet's PacketBytes, computed by the
@@ -782,6 +564,61 @@ class ShuffleBuffer {
     }
     return n;
   }
+  // A partition with runs on disk reduces through MergePartition.
+  bool spilled(size_t i) const { return !parts_[i]->runs.empty(); }
+  uint64_t spill_runs() const { return spill_runs_; }
+  uint64_t spill_bytes() const { return spill_bytes_; }  // incl. envelopes
+
+  // Streams partition `part` back in global (key, mapper, record) order: a
+  // k-way merge of its on-disk runs and its in-memory remainder, which
+  // SortPartition must have sorted. Each key's packets are gathered into a
+  // scratch vector and handed to `fn(key, first, last)` — the same per-key
+  // contract the in-memory reduce uses, so downstream reduce code cannot
+  // tell a spilled partition from a resident one. Moves the remainder's
+  // packets out.
+  template <typename Fn>
+  void MergePartition(size_t part, Fn&& fn) {
+    std::vector<Packet>& mem = parts_[part]->packets;
+    std::vector<std::unique_ptr<RunCursor>> cursors;
+    cursors.reserve(parts_[part]->runs.size());
+    for (const auto& run : parts_[part]->runs) {
+      cursors.push_back(std::make_unique<RunCursor>(run->path()));
+    }
+    size_t mem_pos = 0;
+    const auto pop_min = [&](Packet* out) {
+      const Packet* best = mem_pos < mem.size() ? &mem[mem_pos] : nullptr;
+      int best_cursor = -1;
+      for (size_t c = 0; c < cursors.size(); ++c) {
+        if (!cursors[c]->done() &&
+            (best == nullptr || cursors[c]->head() < *best)) {
+          best = &cursors[c]->head();
+          best_cursor = static_cast<int>(c);
+        }
+      }
+      if (best == nullptr) {
+        return false;
+      }
+      if (best_cursor < 0) {
+        *out = std::move(mem[mem_pos++]);
+      } else {
+        *out = std::move(cursors[best_cursor]->head());
+        cursors[best_cursor]->Pop();
+      }
+      return true;
+    };
+    std::vector<Packet> scratch;
+    Packet p;
+    while (pop_min(&p)) {
+      if (!scratch.empty() && !(scratch.front().key == p.key)) {
+        fn(scratch.front().key, scratch.data(), scratch.data() + scratch.size());
+        scratch.clear();
+      }
+      scratch.push_back(std::move(p));
+    }
+    if (!scratch.empty()) {
+      fn(scratch.front().key, scratch.data(), scratch.data() + scratch.size());
+    }
+  }
 
  private:
   struct Partition {
@@ -794,7 +631,55 @@ class ShuffleBuffer {
     bool unsorted_appends = false;
     uint64_t bytes = 0;      // cumulative serialized bytes routed here
     uint64_t mem_bytes = 0;  // bytes currently buffered (drops on spill)
+    std::vector<std::unique_ptr<TempFile>> runs;  // on disk; see spill_mu_
   };
+
+  // Buffered sequential reader over one run file: deserializes a block's
+  // packets at a time, exposing the head packet for the merge's min-scan.
+  class RunCursor {
+   public:
+    explicit RunCursor(const std::string& path) : reader_(path) { Refill(); }
+    bool done() const { return done_; }
+    Packet& head() { return buf_[pos_]; }
+    void Pop() {
+      if (++pos_ == buf_.size()) {
+        Refill();
+      }
+    }
+
+   private:
+    void Refill() {
+      buf_.clear();
+      pos_ = 0;
+      uint8_t type = 0;
+      std::vector<uint8_t> body;
+      while (buf_.empty()) {
+        if (!reader_.NextBlock(&type, &body)) {
+          done_ = true;
+          return;
+        }
+        if (type != kSpillBlockPackets) {
+          throw SympleWireError("unexpected spill block type in packet run");
+        }
+        BinaryReader r(body.data(), body.size());
+        while (!r.AtEnd()) {
+          buf_.push_back(DeserializePacketFrame<Key>(r));
+        }
+      }
+    }
+
+    SpillFileReader reader_;
+    std::vector<Packet> buf_;
+    size_t pos_ = 0;
+    bool done_ = false;
+  };
+
+  // Spilling is worth attempting only when a budget can actually trip, and
+  // stops after the disk has proven itself broken (two failed attempts).
+  bool spill_enabled() const {
+    return budget_ != nullptr && budget_->limit_bytes() > 0 &&
+           !spill_broken_.load(std::memory_order_relaxed);
+  }
 
   // Budget reaction: while tracked usage is over the line, sort and spill
   // the partition holding the most buffered bytes. try_lock keeps exactly
@@ -803,7 +688,7 @@ class ShuffleBuffer {
   // map-side tables — and a run that small isn't worth a file).
   static constexpr uint64_t kMinSpillBytes = 4096;
   void MaybeSpill() {
-    if (spill_ == nullptr || !spill_->enabled() || !budget_->over()) {
+    if (!spill_enabled() || !budget_->over()) {
       return;
     }
     // Soft pressure (past the 3/4 watermark): one spiller drains while the
@@ -819,7 +704,7 @@ class ShuffleBuffer {
     } else if (!spilling.try_lock()) {
       return;
     }
-    while (budget_->over() && spill_->enabled()) {
+    while (budget_->over() && spill_enabled()) {
       size_t victim = parts_.size();
       uint64_t victim_bytes = kMinSpillBytes;
       for (size_t i = 0; i < parts_.size(); ++i) {
@@ -845,7 +730,7 @@ class ShuffleBuffer {
         part.unsorted_appends = false;
       }
       std::sort(local.begin(), local.end());
-      if (spill_->SpillSortedRun(victim, local)) {
+      if (SpillSortedRun(victim, local)) {
         budget_->Release(victim_bytes);
       } else {
         // The disk failed twice: put the packets back and run over budget —
@@ -867,10 +752,76 @@ class ShuffleBuffer {
     }
   }
 
-  std::vector<std::unique_ptr<Partition>> parts_;
-  MemoryBudget* budget_ = nullptr;
-  SpillContext<Key>* spill_ = nullptr;
+  // Writes `packets` — already sorted by the Section 5.4 packet order — as
+  // one run of partition `part`. Every run is verified by read-back while
+  // the packets are still in memory; a failed or corrupt file is discarded
+  // and the run retried once on a fresh file. Returns false when the retry
+  // also failed: the caller keeps the packets in memory (over budget beats
+  // wrong or lost results) and spilling stops for the rest of the run. Only
+  // MaybeSpill calls it, under spill_mu_.
+  bool SpillSortedRun(size_t part, const std::vector<Packet>& packets) {
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      try {
+        if (TrySpill(part, packets)) {
+          return true;
+        }
+      } catch (const SympleError&) {
+        // enospc / short write: the attempt's TempFile was already unlinked
+        // by its destructor; fall through to the fresh-file retry.
+      }
+    }
+    spill_broken_.store(true, std::memory_order_relaxed);
+    return false;
+  }
+
+  // One attempt: serialize into ~kSpillBlockTargetBytes blocks, then verify
+  // the whole file by read-back (the spill-corrupt detection point — the
+  // packets are still in memory, so a corrupt file costs a retry, never
+  // data). Returns false on verification failure; throws SympleIoError on a
+  // write failure. Either way the attempt's file never enters the partition.
+  bool TrySpill(size_t part, const std::vector<Packet>& packets) {
+    if (dir_ == nullptr) {
+      dir_ = std::make_unique<TempDir>(spill_dir_);
+    }
+    auto file = std::make_unique<TempFile>(
+        dir_->path(), "run-" + std::to_string(file_seq_++) + ".spill");
+    SpillFileWriter writer(file.get(), &faults_);
+    BinaryWriter body;
+    for (const Packet& p : packets) {
+      SerializePacketFrame(p, body);
+      if (body.size() >= kSpillBlockTargetBytes) {
+        writer.WriteBlock(kSpillBlockPackets, body.buffer());
+        body.Clear();
+      }
+    }
+    if (body.size() > 0) {
+      writer.WriteBlock(kSpillBlockPackets, body.buffer());
+    }
+    file->CloseFd();
+    if (!VerifySpillFile(file->path(), writer.blocks_written())) {
+      return false;
+    }
+    ++spill_runs_;
+    spill_bytes_ += writer.bytes_written();
+    parts_[part]->runs.push_back(std::move(file));
+    return true;
+  }
+
+  MemoryBudget* budget_;
+  std::string spill_dir_;
+  // Held by the one active spiller. Guards the members below it up to
+  // spill_broken_, and each partition's runs; post-barrier readers need no
+  // lock because the producers have quiesced.
   std::mutex spill_mu_;
+  SpillFaultInjector faults_;
+  // Created on the first spill; declared before parts_ so the run files are
+  // unlinked before the directory is swept.
+  std::unique_ptr<TempDir> dir_;
+  uint64_t file_seq_ = 0;
+  uint64_t spill_runs_ = 0;
+  uint64_t spill_bytes_ = 0;
+  std::atomic<bool> spill_broken_{false};  // also read lock-free by producers
+  std::vector<std::unique_ptr<Partition>> parts_;
 };
 
 // Partition count for an options struct: explicit value, or one partition per
@@ -894,10 +845,8 @@ inline constexpr uint8_t kSegmentDeferred = 1;
 // mapper_id as a cross-check; the message preserves the original error for
 // the run report. start_record is the first record of the group's current
 // table incarnation: records before it already crossed the shuffle as
-// summaries when a memory budget flushed the table mid-segment
-// (docs/spill.md), so the reducer's concrete replay must start there. The
-// default 0 — replay the whole segment — is the pre-spill semantics every
-// other degrade path keeps.
+// summaries from an earlier morsel or budget flush (docs/spill.md), so the
+// reducer's concrete replay must start there; 0 replays the whole segment.
 inline std::vector<uint8_t> MakeDeferredBlob(uint32_t segment_id,
                                              DegradeReason reason,
                                              std::string_view message,
@@ -1230,9 +1179,9 @@ std::vector<ShufflePacket<typename Body::Key>> MapChunk(
 //
 // Exception safety (the ThreadPool "tasks must not throw" contract): a
 // SympleError escaping MapChunk — e.g. a throwing user Parse — is caught per
-// morsel and handed to body.Defer when Body::kDefers; otherwise (or when
-// Defer fails too) the first error is rethrown as a typed SympleIoError from
-// the coordinator after quiesce, mirroring the reduce stage.
+// morsel and the first one is rethrown as a typed SympleIoError from the
+// coordinator after quiesce, mirroring the reduce stage. A body's own
+// per-group degradation happens inside Feed and Emit and never escapes.
 template <typename Body>
 void RunMapPhase(const std::vector<std::string>& segments,
                  const std::vector<uint32_t>& segment_ids, size_t slots,
@@ -1290,21 +1239,9 @@ void RunMapPhase(const std::vector<std::string>& segments,
             packets = MapChunk(body, chunk, m.segment, m.first_record, &mts, budget,
                                shuffle);
           } catch (const SympleError& e) {
-            bool deferred = false;
-            if constexpr (Body::kDefers) {
-              try {
-                packets = body.Defer(chunk, m.segment, m.first_record,
-                                     ClassifyDegradeError(e), e.what());
-                deferred = true;
-              } catch (const SympleError&) {
-                // fall through to the captured original error
-              }
-            }
-            if (!deferred) {
-              std::lock_guard<std::mutex> lock(map_err_mu);
-              if (map_error.empty()) {
-                map_error = e.what();
-              }
+            std::lock_guard<std::mutex> lock(map_err_mu);
+            if (map_error.empty()) {
+              map_error = e.what();
             }
           }
           // += not =: a budget-flushed morsel already accounted its
@@ -1371,8 +1308,7 @@ struct KeyRun {
 template <typename Key, typename ReduceKeyFn>
 void RunShuffleAndReduce(ShuffleBuffer<Key>&& shuffle, size_t slots,
                          ReduceKeyFn reduce_key, EngineStats* stats,
-                         obs::RunObserver* observer = nullptr,
-                         SpillContext<Key>* spill = nullptr) {
+                         obs::RunObserver* observer = nullptr) {
   const size_t num_parts = shuffle.partition_count();
   const double obs_shuffle_start = observer != nullptr ? observer->NowUs() : 0;
   const auto t_shuffle = std::chrono::steady_clock::now();
@@ -1384,13 +1320,13 @@ void RunShuffleAndReduce(ShuffleBuffer<Key>&& shuffle, size_t slots,
   {
     ThreadPool pool(std::min(slots == 0 ? 1 : slots, num_parts));
     for (size_t part = 0; part < num_parts; ++part) {
-      pool.Submit([part, &shuffle, &part_runs, spill] {
+      pool.Submit([part, &shuffle, &part_runs] {
         // Merge the sorted runs the map workers appended (pipelined handoff)
         // rather than re-sorting from scratch; falls back to a full sort
         // when the run structure was voided (single Adds, spill put-back).
         shuffle.SortPartition(part);
         std::vector<ShufflePacket<Key>>& packets = shuffle.partition(part);
-        if (spill != nullptr && spill->has_runs(part)) {
+        if (shuffle.spilled(part)) {
           return;
         }
         std::vector<KeyRun>& runs = part_runs[part];
@@ -1415,7 +1351,7 @@ void RunShuffleAndReduce(ShuffleBuffer<Key>&& shuffle, size_t slots,
   uint64_t max_part_bytes = 0;
   for (size_t part = 0; part < num_parts; ++part) {
     const uint64_t part_bytes = shuffle.partition_bytes(part);
-    if (spill != nullptr && spill->has_runs(part)) {
+    if (shuffle.spilled(part)) {
       KeyRun run;
       run.partition = static_cast<uint32_t>(part);
       run.bytes = part_bytes;
@@ -1466,7 +1402,7 @@ void RunShuffleAndReduce(ShuffleBuffer<Key>&& shuffle, size_t slots,
     ThreadPool pool(task_stats.size());
     for (size_t r = 0; r < task_stats.size(); ++r) {
       pool.Submit([r, obs_reduce_start, &next_run, &runs, &shuffle, &reduce_key,
-                   &task_stats, observer, spill, &merge_err_mu, &merge_error] {
+                   &task_stats, observer, &merge_err_mu, &merge_error] {
         obs::ReduceTaskObs& ts = task_stats[r];
         ts.reducer_id = static_cast<uint32_t>(r);
         if (observer != nullptr) {
@@ -1484,14 +1420,13 @@ void RunShuffleAndReduce(ShuffleBuffer<Key>&& shuffle, size_t slots,
             // in-memory remainder; each key surfaces exactly once, in the
             // same global order the in-memory path would produce.
             const auto t_merge = std::chrono::steady_clock::now();
-            spill->MergePartition(
-                run.partition, std::move(shuffle.partition(run.partition)),
-                [&](const Key& key, const ShufflePacket<Key>* kf,
-                    const ShufflePacket<Key>* kl) {
-                  reduce_key(key, kf, kl);
-                  ++ts.groups;
-                  ts.packets += static_cast<uint64_t>(kl - kf);
-                });
+            shuffle.MergePartition(run.partition, [&](const Key& key,
+                                                      const ShufflePacket<Key>* kf,
+                                                      const ShufflePacket<Key>* kl) {
+              reduce_key(key, kf, kl);
+              ++ts.groups;
+              ts.packets += static_cast<uint64_t>(kl - kf);
+            });
             ts.spill_merge_ms += MsSince(t_merge);
           } else {
             auto* packets = shuffle.partition(run.partition).data();
@@ -1525,10 +1460,8 @@ void RunShuffleAndReduce(ShuffleBuffer<Key>&& shuffle, size_t slots,
     throw SympleIoError("reduce stage failed: " + merge_error);
   }
   stats->reduce_wall_ms = MsSince(t_reduce);
-  if (spill != nullptr) {
-    stats->spill_runs += spill->total_runs();
-    stats->spill_bytes += spill->total_bytes();
-  }
+  stats->spill_runs += shuffle.spill_runs();
+  stats->spill_bytes += shuffle.spill_bytes();
   for (const obs::ReduceTaskObs& t : task_stats) {
     stats->reduce_cpu_ms += t.cpu_ms;
     stats->groups += t.groups;
@@ -1631,8 +1564,8 @@ void SympleReduceKey(const Dataset& data, ReduceMode mode,
       } catch (const SympleError&) {
         // keep the wire-corrupt classification
       }
-      // Replay from the packet's own record_id, never the blob's copy: both
-      // emission sites stamp them identically, the packet header crosses the
+      // Replay from the packet's own record_id, never the blob's copy: the
+      // map task stamps them identically, the packet header crosses the
       // wire under its own checksum, and a flipped bit in the blob's varint
       // must not be able to skip records.
       replay(reason, message, p->record_id);
@@ -1694,60 +1627,18 @@ void SympleReduceKey(const Dataset& data, ReduceMode mode,
   }
 }
 
-// Expands one raw input segment — or one record-aligned morsel of it, with
-// `start_record` the chunk's first global record id — into per-key
-// DeferredConcrete packets: one marker per distinct key, ordered at that
-// key's first record (SummariesBody::Defer).
-template <typename Query>
-std::vector<ShufflePacket<typename Query::Key>> DeferSegmentPackets(
-    std::string_view segment, uint32_t segment_id, DegradeReason reason,
-    std::string_view message, uint64_t start_record = 0) {
-  using Key = typename Query::Key;
-  FlatGroupMap<Key, uint64_t> first_record(
-      ResolveGroupCapacityHint(0, segment.size() / 64));
-  LineCursor cursor(segment);
-  uint64_t rid = start_record;
-  while (const auto line = cursor.Next()) {
-    const uint64_t record_id = rid++;
-    auto rec = Query::Parse(*line);
-    if (rec.has_value()) {
-      first_record.GetOrEmplace(rec->first, record_id);
-    }
-  }
-  // First-seen order: the markers leave the degrade path in the same
-  // deterministic order a healthy mapper would have emitted the packets.
-  std::vector<ShufflePacket<Key>> out;
-  out.reserve(first_record.size());
-  for (const auto& entry : first_record) {
-    ShufflePacket<Key> p;
-    p.key = entry.key;
-    p.mapper_id = segment_id;
-    p.record_id = entry.value;
-    // The blob's start_record mirrors the packet header's record id: the
-    // reducer cross-checks them before trusting the marker's reason/message
-    // (SympleReduceKey), and replay starts at the key's first record either
-    // way.
-    p.blob = MakeDeferredBlob(segment_id, reason, message, entry.value);
-    out.push_back(std::move(p));
-  }
-  return out;
-}
-
 // --- The map/shuffle/reduce pipeline ------------------------------------------
 
 // Map body for the hand-optimized MapReduce baseline: parse + groupby in one
 // streaming pass, serializing each record's (key, projected fields) row
 // directly — Hadoop ships one KV record per event, so each row carries the
 // key again and shuffle accounting reflects per-record cost. The reducer
-// deserializes the ordered rows and runs the UDA concretely. Rows carry no
-// symbolic state that could fail, so there is no defer path: a map error
-// fails the run, a corrupt forked stream is retried.
+// deserializes the ordered rows and runs the UDA concretely.
 template <typename Q>
 struct RowsBody {
   using Query = Q;
   using Key = typename Query::Key;
   using Packet = ShufflePacket<Key>;
-  static constexpr bool kDefers = false;
 
   const Dataset& data;
   const EngineOptions& options;
@@ -1821,7 +1712,6 @@ struct SummariesBody {
   using State = typename Query::State;
   using Packet = ShufflePacket<Key>;
   using UpdateFn = void (*)(State&, const typename Query::Event&);
-  static constexpr bool kDefers = true;
 
   const Dataset& data;
   const EngineOptions& options;
@@ -1909,16 +1799,6 @@ struct SummariesBody {
     return MakeDeferredBlob(mapper_id, g.reason, g.message, g.first_record);
   }
 
-  // Replacement packets for a chunk whose map output is lost — a SympleError
-  // escaped MapChunk (docs/scheduling.md), or a forked worker's stream failed
-  // validation and is untrusted: one DeferredConcrete marker per key, which
-  // the reducer replays concretely and accounts then, like every marker.
-  std::vector<Packet> Defer(std::string_view chunk, uint32_t segment_id,
-                            uint64_t first_record, DegradeReason reason,
-                            std::string_view message) const {
-    return DeferSegmentPackets<Query>(chunk, segment_id, reason, message, first_record);
-  }
-
   void Reduce(const Key& key, const Packet* first, const Packet* last,
               State& state, DegradeAccounting* acct) const {
     SympleReduceKey<Query>(data, options.reduce_mode, key, first, last, state, acct);
@@ -1969,11 +1849,9 @@ RunResult<Query> RunPipeline(const Dataset& data, const EngineOptions& options) 
       data.segment_count() > 0 ? result.stats.input_records / data.segment_count() : 0);
   const Body body{data, options, seg_hint};
   MemoryBudget budget(options.memory_budget_bytes);
-  const size_t partitions = ResolveReducePartitions(options);
-  SpillContext<Key> spill(&budget, partitions, options.spill_dir);
-  ShuffleBuffer<Key> shuffle(partitions,
-                             data.segment_count() * std::min<size_t>(seg_hint, 4096));
-  shuffle.EnableSpill(&budget, &spill);
+  ShuffleBuffer<Key> shuffle(ResolveReducePartitions(options),
+                             data.segment_count() * std::min<size_t>(seg_hint, 4096),
+                             &budget, options.spill_dir);
   Executor::RunMap(data, options, body, &budget, &shuffle, &result.stats);
   result.stats.map_wall_ms = MsSince(t0);
 
@@ -1989,7 +1867,7 @@ RunResult<Query> RunPipeline(const Dataset& data, const EngineOptions& options) 
         std::lock_guard<std::mutex> lock(out_mu);
         result.outputs.emplace(key, std::move(output));
       },
-      &result.stats, options.observer, &spill);
+      &result.stats, options.observer);
   FoldDegrades(degrades, &result.stats, options.observer);
 
   result.stats.peak_tracked_bytes = budget.peak_bytes();

@@ -95,22 +95,23 @@ struct EngineStats {
   uint64_t morsel_target_records = 0;
 
   // Forked-mode fault tolerance (process_engine.h): worker respawns after a
-  // failure, hang-watchdog kills, crash/truncation/protocol failures, and
-  // segments executed in-process after the retry budget was spent. All zero
-  // for the threaded engines and for clean forked runs.
+  // failure, hang-watchdog kills, crash/truncation/corruption/protocol
+  // failures, worker frames rejected by checksum/version validation (each
+  // one also a crash), and segments executed in-process after the retry
+  // budget was spent. All zero for the threaded engines and for clean forked
+  // runs.
   uint64_t worker_retries = 0;
   uint64_t worker_timeouts = 0;
   uint64_t worker_crashes = 0;
+  uint64_t wire_corrupt_frames = 0;
   uint64_t fallback_segments = 0;
 
   // Symbolic→concrete degradation (SYMPLE engines, docs/degradation.md):
   // (chunk, group) segments whose symbolic summary was replaced by concrete
-  // replay, the records re-executed by those replays, IPC frames rejected by
-  // checksum/version validation, and the per-reason breakdown (indexed by
-  // DegradeReason). All zero for clean runs.
+  // replay, the records re-executed by those replays, and the per-reason
+  // breakdown (indexed by DegradeReason). All zero for clean runs.
   uint64_t degraded_segments = 0;
   uint64_t replayed_records = 0;
-  uint64_t wire_corrupt_frames = 0;
   uint64_t degrade_reasons[kDegradeReasonCount] = {};
 
   // Group-table allocation/probing counters summed over all group tables the
@@ -150,16 +151,18 @@ struct EngineStats {
       out += " morsels=" + std::to_string(map_morsels) +
              " steals=" + std::to_string(morsel_steals);
     }
-    if (worker_retries + worker_timeouts + worker_crashes + fallback_segments > 0) {
+    if (worker_retries + worker_timeouts + worker_crashes + wire_corrupt_frames +
+            fallback_segments >
+        0) {
       out += " worker_retries=" + std::to_string(worker_retries) +
              " worker_timeouts=" + std::to_string(worker_timeouts) +
              " worker_crashes=" + std::to_string(worker_crashes) +
+             " wire_corrupt_frames=" + std::to_string(wire_corrupt_frames) +
              " fallback_segments=" + std::to_string(fallback_segments);
     }
-    if (degraded_segments + wire_corrupt_frames > 0) {
+    if (degraded_segments > 0) {
       out += " degraded_segments=" + std::to_string(degraded_segments) +
-             " replayed_records=" + std::to_string(replayed_records) +
-             " wire_corrupt_frames=" + std::to_string(wire_corrupt_frames);
+             " replayed_records=" + std::to_string(replayed_records);
     }
     if (spill_runs > 0) {
       out += " spill_runs=" + std::to_string(spill_runs) + " spill=" +

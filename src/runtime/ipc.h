@@ -143,14 +143,14 @@ int PollWithDeadline(struct pollfd* fds, size_t nfds,
 // write half the frame, then _exit(0) — a silently truncated stream with a
 // clean exit status; corrupt: write the frame with one bit flipped in the
 // last payload byte and keep running — the parent's checksum validation
-// must catch it and degrade the worker's segments to concrete replay.
+// must catch it, kill the worker and re-execute its uncommitted segments.
 //
 // Spill faults (docs/spill.md): spill-enospc: the block write fails with
 // ENOSPC; spill-short-write: half the block is written, then the write
 // fails; spill-corrupt: the block is written with one bit flipped (caught
 // by the spill writer's post-write checksum verification). A failed spill
-// retries once on a fresh file, then the run degrades gracefully — it
-// never crashes.
+// retries once on a fresh file, then the packets stay in memory and the run
+// continues over budget — it never crashes.
 struct FaultSpec {
   enum class Mode {
     kNone,

@@ -13,12 +13,13 @@
 // The parent's drain is a poll()-multiplexed loop over all worker pipes (no
 // head-of-line blocking when one worker fills its pipe buffer), and the
 // runtime is fault tolerant at segment granularity: a crashed, hung
-// (EngineOptions::worker_timeout_ms), or protocol-violating worker is killed,
-// reaped, and its not-yet-committed segments are re-executed in a respawned
-// worker (bounded retries with backoff), falling back to in-process execution
-// once the retry budget is spent. Re-execution is sound because map tasks are
-// deterministic and start from unknown symbolic state (Section 2.3) — the
-// classic MapReduce re-execution model. Fd and child ownership is RAII
+// (EngineOptions::worker_timeout_ms), corrupting or protocol-violating worker
+// is killed, reaped, and its not-yet-committed segments are re-executed in a
+// respawned worker (bounded retries with backoff), falling back to in-process
+// execution once the retry budget is spent. Re-execution is sound because map
+// tasks are deterministic and start from unknown symbolic state (Section 2.3)
+// — the classic MapReduce re-execution model — and it is the only recovery
+// for lost map output, whatever the map body. Fd and child ownership is RAII
 // (runtime/ipc.h): no error path leaks descriptors or zombie children.
 //
 // Wire protocol: a stream of [u32 LE size][payload] frames. Every payload is
@@ -39,11 +40,9 @@
 // commits the segment's packets.
 //
 // A frame that fails envelope validation (short, bad checksum, wrong
-// version) is a "corrupt" worker failure: the worker is killed and — in the
-// SYMPLE engine — its uncommitted segments are degraded to concrete-replay
-// markers instead of being retried, since re-running a deterministically
-// corrupting worker cannot help (docs/degradation.md). Engines without a
-// degrade path (the baseline) treat corruption like a crash and retry.
+// version) is a "corrupt" worker failure, counted in wire_corrupt_frames and
+// recovered like a crash: nothing from that pipe is trusted, and the
+// worker's uncommitted segments are re-executed.
 //
 // See docs/process_engine.md for the full failure-semantics contract and the
 // SYMPLE_FAULT_SPEC fault-injection hook.
@@ -85,11 +84,14 @@ enum ForkedFrameType : uint8_t {
 
 // Bumped whenever the frame envelope or any body layout changes; a version
 // mismatch is indistinguishable from corruption to the parent and handled
-// the same way (kill + degrade/retry), never by guessing the old layout.
+// the same way (kill + retry), never by guessing the old layout.
 inline constexpr uint8_t kForkedWireVersion = 3;
 
 // Frame payloads shorter than the envelope cannot carry a checksum.
 inline constexpr size_t kFrameEnvelopeBytes = 6;  // crc(4) + type + version
+
+// Sleep before respawning a failed worker lineage, doubled per attempt.
+inline constexpr long kWorkerRetryBackoffMs = 5;
 
 // Assembles [u32 LE crc][type][version][body] into `payload` (cleared first).
 inline void BuildWorkerFrame(uint8_t type, const BinaryWriter& body,
@@ -207,18 +209,19 @@ inline uint32_t DecodeSegmentDone(BinaryReader r, obs::MapTaskObs* t) {
 // and each committed segment's counters — shipped in its segment-done frame —
 // fold into `stats` through FoldMapTask, like a threaded map task's; the
 // drain adds the worker_retries / worker_timeouts / worker_crashes /
-// fallback_segments counters. With an observer attached, the parent reports
-// one observation per worker drain (its committed segments summed, with the
-// worker's wait4 CPU and peak RSS; per-group histograms stay threaded-only)
-// and one OnWorkerFailure event per kill.
+// wire_corrupt_frames / fallback_segments counters. With an observer
+// attached, the parent reports one observation per worker drain (its
+// committed segments summed, with the worker's wait4 CPU and peak RSS;
+// per-group histograms stay threaded-only) and one OnWorkerFailure event per
+// kill.
 //
 // Children run MapChunk — the thread executor's map task — on whole segments
 // with no budget and no shuffle to flush into: a child is already one core
-// and its own address space, and commit/retry bookkeeping stays per segment. Corrupt
-// streams (frames failing checksum/version validation) are not retried when
-// Body::kDefers — deterministic corruption would recur — but replaced by
-// body.Defer's markers. A lineage out of retries runs its pending segments
-// in-process through RunMapPhase, under the run's `budget`.
+// and its own address space, and commit/retry bookkeeping stays per segment.
+// A failed worker's pending segments — whether it crashed, hung, corrupted a
+// frame or broke the protocol — go to a respawned worker, and a lineage out
+// of retries runs them in-process through RunMapPhase, under the run's
+// `budget`.
 template <typename Body>
 void RunForkedMapPhase(const Dataset& data, const EngineOptions& options,
                        const Body& body, MemoryBudget* budget,
@@ -389,17 +392,14 @@ void RunForkedMapPhase(const Dataset& data, const EngineOptions& options,
     }
   };
 
-  // Kills and reaps a failed worker, then recovers its pending segments:
-  // corrupt streams degrade to the caller's replacement packets (when a
-  // degrade path exists), everything else respawns a replacement worker or —
-  // once the retry budget is spent — executes in-process. Committed segments
-  // are never re-run.
+  // Kills and reaps a failed worker, then re-executes its pending segments
+  // in a respawned worker or — once the retry budget is spent — in-process.
+  // Committed segments are never re-run.
   auto handle_failure = [&](std::unique_ptr<WorkerState>& slot, const char* kind) {
     WorkerState& w = *slot;
-    const bool degrading = std::strcmp(kind, "corrupt") == 0 && Body::kDefers;
     if (std::strcmp(kind, "timeout") == 0) {
       ++stats->worker_timeouts;
-    } else if (!degrading) {
+    } else {
       ++stats->worker_crashes;
     }
     w.child.KillAndReap();
@@ -415,25 +415,10 @@ void RunForkedMapPhase(const Dataset& data, const EngineOptions& options,
       slot.reset();
       return;
     }
-    if (degrading) {
-      // Nothing read from this pipe can be trusted and re-running a
-      // deterministically corrupting worker cannot help, so don't retry:
-      // every uncommitted segment is replaced by the body's deferred-replay
-      // markers, which the reducer resolves concretely.
-      if constexpr (Body::kDefers) {
-        for (const uint32_t s : pending) {
-          stats->shuffle_bytes += shuffle->AddBatch(
-              body.Defer(data.segments[s], s, /*first_record=*/0,
-                         DegradeReason::kWireCorrupt, "corrupt summary frame from worker"));
-        }
-      }
-      slot.reset();
-      return;
-    }
     if (attempt < options.worker_retry_limit) {
       ++stats->worker_retries;
       const int shift = attempt < 10 ? attempt : 10;
-      SleepMs(static_cast<long>(options.worker_retry_backoff_ms) << shift);
+      SleepMs(kWorkerRetryBackoffMs << shift);
       slot = spawn(std::move(pending), attempt + 1);
       return;
     }
@@ -508,7 +493,8 @@ void RunForkedMapPhase(const Dataset& data, const EngineOptions& options,
             process_frames(w);
           } catch (const SympleWireError&) {
             // Envelope validation failed (checksum/version/short frame): the
-            // stream carried bytes the worker never meant to send.
+            // stream carried bytes the worker never meant to send, so none
+            // of its uncommitted output is trusted.
             ++stats->wire_corrupt_frames;
             failure = "corrupt";
           } catch (const SympleError&) {

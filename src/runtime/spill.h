@@ -25,7 +25,7 @@
 //
 // The templated half — serializing ShufflePackets into block bodies, sorted-
 // run bookkeeping, and the streaming k-way merge — lives with the engines in
-// runtime/engine.h (SpillContext), which depends on this header and not vice
+// runtime/engine.h (ShuffleBuffer), which depends on this header and not vice
 // versa.
 #ifndef SYMPLE_RUNTIME_SPILL_H_
 #define SYMPLE_RUNTIME_SPILL_H_
@@ -134,7 +134,7 @@ class TempDir {
 };
 
 // Append-only checksummed block writer over a TempFile. Write failures (real
-// or injected) surface as SympleIoError; the caller (SpillContext) owns the
+// or injected) surface as SympleIoError; the caller (ShuffleBuffer) owns the
 // retry-once-on-a-fresh-file policy.
 class SpillFileWriter {
  public:

@@ -250,7 +250,7 @@ TEST(BinaryIo, ReadVarUint32RejectsValuesAboveU32) {
 
 TEST(BinaryIo, ReadVarUint32ErrorIsAnIoError) {
   // The wire error must stay catchable at the SympleIoError granularity the
-  // forked engines' degrade path uses.
+  // forked engines' worker-failure handling uses.
   BinaryWriter w;
   w.WriteVarUint(1ULL << 33);
   BinaryReader r(w.buffer());

@@ -417,9 +417,9 @@ TEST(MorselThrowingUda, BaselineMapSurfacesTypedError) {
 }
 
 TEST(MorselThrowingUda, SympleMapSurfacesTypedError) {
-  // SYMPLE first tries to degrade the morsel, but deferring re-parses the
-  // chunk and hits the same throwing Parse — so the original error must
-  // still surface typed, not terminate.
+  // A throwing Parse escapes the map task before any group exists to
+  // degrade, so SYMPLE fails the map stage exactly like the baseline: the
+  // error must surface typed, not terminate.
   EngineOptions options;
   options.map_slots = 3;
   EXPECT_THROW(RunSymple<ThrowingParseQuery>(BoomDataset(), options),

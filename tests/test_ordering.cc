@@ -8,7 +8,8 @@
 //   2. Within the map phase, a segment's packets are emitted in FIRST-SEEN
 //      key order (FlatGroupMap iterates its dense entry vector in insertion
 //      order), so mapper output is deterministic run over run.
-//   3. Degrade markers (DeferSegmentPackets) follow the same first-seen order.
+//   3. Degraded groups' DeferredConcrete markers follow the same first-seen
+//      order.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -186,16 +187,22 @@ TEST(GroupOrdering, SympleMapSegmentEmitsFirstSeenOrder) {
 
 // --- 3. degrade markers follow the same contract --------------------------------
 
-TEST(GroupOrdering, DeferSegmentPacketsEmitsFirstSeenOrder) {
+TEST(GroupOrdering, DegradedMarkersEmitFirstSeenOrder) {
   const Dataset data = OrderingDataset(1);
   const std::string& segment = data.segments[0];
   const auto expected = FirstSeenKeys<G1OnlyPushes>(segment);
-  const auto packets = internal::DeferSegmentPackets<G1OnlyPushes>(
-      segment, 7, DegradeReason::kWireCorrupt, "test");
+  EngineOptions options;
+  options.budgets.force_degrade = true;
+  obs::MapTaskObs ts;
+  const auto packets = internal::MapChunk(
+      internal::SummariesBody<G1OnlyPushes>{data, options, 0}, segment, 7,
+      /*first_record=*/0, &ts, /*budget=*/nullptr, /*shuffle=*/nullptr);
   ASSERT_EQ(packets.size(), expected.size());
   for (size_t i = 0; i < packets.size(); ++i) {
     EXPECT_EQ(packets[i].key, expected[i]) << "marker " << i << " out of order";
     EXPECT_EQ(packets[i].mapper_id, 7u);
+    ASSERT_FALSE(packets[i].blob.empty());
+    EXPECT_EQ(packets[i].blob[0], internal::kSegmentDeferred);
   }
 }
 

@@ -343,7 +343,6 @@ TEST(Spill, AllFiveEnginesSpillByteIdenticalToSequential) {
 
   EngineOptions forked = budgeted;
   forked.map_slots = 2;
-  forked.worker_retry_backoff_ms = 1;
   const auto sym_forked = RunSympleForked<G1OnlyPushes>(data, forked);
   EXPECT_TRUE(sym_forked.outputs == ref.outputs);
   EXPECT_GT(sym_forked.stats.spill_runs, 0u);
@@ -616,7 +615,6 @@ TEST(SpillFault, ForkedWorkerCrashCombinesWithSpillFault) {
   FaultGuard guard("crash:worker=1:frame=2;spill-corrupt:worker=*:frame=0");
   EngineOptions options = TinyBudgetOptions();
   options.map_slots = 3;
-  options.worker_retry_backoff_ms = 1;
   const auto forked = RunSympleForked<G1OnlyPushes>(data, options);
   EXPECT_TRUE(forked.outputs == ref.outputs);
   EXPECT_GE(forked.stats.worker_crashes, 1u);
