@@ -11,7 +11,7 @@
 //   $ ./query_cli G3 --trace-out=/tmp/g3.trace.json   # chrome://tracing / Perfetto
 //   $ ./query_cli G3 --stats-json=/tmp/g3.json        # machine-readable RunReports
 //   $ ./query_cli G1 --engine forked                  # forked-process engines
-//   $ ./query_cli G1 --engine forked --fault crash:worker=1:frame=100
+//   $ ./query_cli G1 --engine forked --fault crash:worker=1:frame=1
 //                                                     # fault-injected recovery demo
 //   $ ./query_cli G3 --explain                        # per-run bottleneck report
 //   $ ./query_cli G1 --memory-budget 2m --spill-dir /tmp/spill
@@ -373,7 +373,7 @@ int main(int argc, char** argv) {
       options.explain = true;
     } else if (FlagValue(argc, argv, i, "--fault", &value)) {
       // Same syntax as SYMPLE_FAULT_SPEC (see docs/process_engine.md), e.g.
-      // --fault crash:worker=1:frame=100
+      // --fault crash:worker=1:frame=1
       ::setenv("SYMPLE_FAULT_SPEC", value.c_str(), 1);
     } else {
       options.query = argv[i];

@@ -7,7 +7,8 @@
 # the full-size bench gates (bench_groupmap, bench_spill, bench_morsel,
 # bench_shuffle_skew), the bench/e2e smoke, a forked-worker fault smoke
 # (every worker corrupts a frame; both forked engines must still match
-# sequential), and one --explain bottleneck report as a human-readable tail.
+# sequential, with every segment re-executed in-process), and one --explain
+# bottleneck report as a human-readable tail.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -97,11 +98,20 @@ cmake --build build/e2e -j "${CI_JOBS:-$(nproc)}"
 ctest --test-dir build/e2e
 
 # --- forked-worker fault smoke ------------------------------------------------
-# Every worker spawn, retries included, corrupts its third frame: each lineage
-# is killed, respawned, and finally re-executed in-process. query_cli exits 1
-# if either forked engine diverges from the sequential output.
-build/examples/query_cli G1 --records 40000 --engine forked \
-  --fault 'corrupt:worker=*:frame=2'
+# Every worker spawn, retries included, corrupts its first segment frame: each
+# lineage is killed, respawned, and finally re-executed in-process. query_cli
+# exits 1 if either forked engine diverges from the sequential output, and
+# the smoke fails unless both forked engines' faults: lines report that all
+# 12 segments ran in-process — a fault that missed every segment frame would
+# otherwise pass while testing no recovery.
+fault_out=$(build/examples/query_cli G1 --records 40000 --engine forked \
+  --fault 'corrupt:worker=*:frame=0')
+printf '%s\n' "$fault_out"
+if [ "$(printf '%s\n' "$fault_out" |
+  grep -c '^  faults: .* 12 segments ran in-process$')" -ne 2 ]; then
+  echo "ci.sh: the fault smoke did not run all 12 segments in-process on both forked engines" >&2
+  exit 1
+fi
 
 # --- bottleneck report -------------------------------------------------------
 # One skewed shuffle run with --explain so every CI log carries a current

@@ -49,6 +49,7 @@
 #include <cstdint>
 #include <cstring>
 #include <ctime>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
@@ -381,17 +382,17 @@ size_t ShufflePartitionOf(const Key& key, size_t num_partitions) {
 }
 
 // The mapper->reducer exchange: P lock-striped partitions that map tasks (or
-// the forked-mode parent drain) route packets into as they emit. Each
-// partition is later sorted independently and in parallel, replacing the old
-// single-threaded global sort. Byte counts accumulate per partition so the
-// run report can surface partition skew.
+// the forked-mode parent drain, one committed segment at a time) route
+// packets into with AddBatch. Each partition is later sorted independently
+// and in parallel, replacing the old single-threaded global sort. Byte counts
+// accumulate per partition so the run report can surface partition skew.
 //
 // Under a memory budget it is also the run's external sort (docs/spill.md):
 // once the budget reports over(), the heaviest partition's buffered packets
-// are sorted and moved out as an on-disk run, and the reduce stage streams a
-// spilled partition back through MergePartition. The temp directory is
-// created on the first spill and removed — with any files still inside —
-// when the buffer is destroyed.
+// are merged into order and moved out as an on-disk run, and the reduce
+// stage streams a spilled partition back through MergePartition. The temp
+// directory is created on the first spill and removed — with any files still
+// inside — when the buffer is destroyed.
 template <typename Key>
 class ShuffleBuffer {
  public:
@@ -433,26 +434,6 @@ class ShuffleBuffer {
   }
 
   size_t partition_count() const { return parts_.size(); }
-
-  // Routes one packet (single or low-contention producers, e.g. the forked
-  // parent drain). `bytes` is the packet's PacketBytes, computed by the
-  // caller which already needs it for shuffle accounting.
-  void Add(Packet&& p, uint64_t bytes) {
-    Partition& part = *parts_[ShufflePartitionOf(p.key, parts_.size())];
-    {
-      std::lock_guard<std::mutex> lock(part.mu);
-      part.bytes += bytes;
-      part.mem_bytes += bytes;
-      part.packets.push_back(std::move(p));
-      // Single-packet appends carry no run structure; SortPartition falls
-      // back to a full sort for this partition.
-      part.unsorted_appends = true;
-    }
-    if (budget_ != nullptr) {
-      budget_->Charge(bytes);
-      MaybeSpill();
-    }
-  }
 
   // Routes one map task's packets: buckets locally first, then takes each
   // touched partition's stripe lock exactly once (per-mapper sub-buckets
@@ -519,38 +500,11 @@ class ShuffleBuffer {
   }
 
   // Post-barrier: brings partition `i` into full (key, mapper, record)
-  // order. When the partition was built purely from AddBatch runs, a
-  // pairwise inplace_merge cascade over the recorded run boundaries does
-  // O(n log k) merge work (k = runs) on already-sorted pieces; single-packet
-  // Adds or a spill put-back void the run structure and fall back to a full
-  // sort. Callers must have quiesced all producers.
+  // order by merging its recorded runs. Callers must have quiesced all
+  // producers.
   void SortPartition(size_t i) {
     Partition& part = *parts_[i];
-    std::vector<Packet>& v = part.packets;
-    if (part.unsorted_appends || part.run_ends.empty() ||
-        part.run_ends.back() != v.size()) {
-      std::sort(v.begin(), v.end());
-      return;
-    }
-    std::vector<size_t> ends = std::move(part.run_ends);
-    while (ends.size() > 1) {
-      std::vector<size_t> merged;
-      merged.reserve((ends.size() + 1) / 2);
-      size_t begin = 0;
-      for (size_t k = 0; k < ends.size(); k += 2) {
-        if (k + 1 < ends.size()) {
-          std::inplace_merge(v.begin() + static_cast<ptrdiff_t>(begin),
-                             v.begin() + static_cast<ptrdiff_t>(ends[k]),
-                             v.begin() + static_cast<ptrdiff_t>(ends[k + 1]));
-          merged.push_back(ends[k + 1]);
-          begin = ends[k + 1];
-        } else {
-          merged.push_back(ends[k]);
-          begin = ends[k];
-        }
-      }
-      ends = std::move(merged);
-    }
+    MergeRuns(&part.packets, std::move(part.run_ends));
     part.run_ends.clear();
   }
 
@@ -624,11 +578,9 @@ class ShuffleBuffer {
   struct Partition {
     std::mutex mu;
     std::vector<Packet> packets;
-    // Ends of the sorted runs AddBatch appended ([0, run_ends[0]) is run 0,
-    // [run_ends[0], run_ends[1]) run 1, ...). Valid for SortPartition's
-    // merge cascade only while unsorted_appends is false.
+    // Ends of the sorted runs appended so far ([0, run_ends[0]) is run 0,
+    // [run_ends[0], run_ends[1]) run 1, ...); the last one is packets.size().
     std::vector<size_t> run_ends;
-    bool unsorted_appends = false;
     uint64_t bytes = 0;      // cumulative serialized bytes routed here
     uint64_t mem_bytes = 0;  // bytes currently buffered (drops on spill)
     std::vector<std::unique_ptr<TempFile>> runs;  // on disk; see spill_mu_
@@ -673,6 +625,33 @@ class ShuffleBuffer {
     size_t pos_ = 0;
     bool done_ = false;
   };
+
+  // Brings `v` into (key, mapper, record) order. Every buffered packet sits
+  // in a sorted run that AddBatch or a spill put-back recorded, ending at
+  // `ends`, so a pairwise inplace_merge cascade does O(n log k) merge work
+  // (k = runs) on already-sorted pieces.
+  static void MergeRuns(std::vector<Packet>* v, std::vector<size_t> ends) {
+    SYMPLE_CHECK((ends.empty() ? 0 : ends.back()) == v->size(),
+                 "shuffle partition holds packets outside its recorded runs");
+    while (ends.size() > 1) {
+      std::vector<size_t> merged;
+      merged.reserve((ends.size() + 1) / 2);
+      size_t begin = 0;
+      for (size_t k = 0; k < ends.size(); k += 2) {
+        if (k + 1 < ends.size()) {
+          std::inplace_merge(v->begin() + static_cast<ptrdiff_t>(begin),
+                             v->begin() + static_cast<ptrdiff_t>(ends[k]),
+                             v->begin() + static_cast<ptrdiff_t>(ends[k + 1]));
+          merged.push_back(ends[k + 1]);
+          begin = ends[k + 1];
+        } else {
+          merged.push_back(ends[k]);
+          begin = ends[k];
+        }
+      }
+      ends = std::move(merged);
+    }
+  }
 
   // Spilling is worth attempting only when a budget can actually trip, and
   // stops after the disk has proven itself broken (two failed attempts).
@@ -719,34 +698,29 @@ class ShuffleBuffer {
       }
       Partition& part = *parts_[victim];
       std::vector<Packet> local;
+      std::vector<size_t> local_ends;
       {
         std::lock_guard<std::mutex> lock(part.mu);
         local.swap(part.packets);
+        // The recorded runs leave with the packets; whatever lands in the
+        // emptied partition afterwards starts a fresh run sequence.
+        local_ends.swap(part.run_ends);
         victim_bytes = part.mem_bytes;  // resample under the stripe lock
         part.mem_bytes = 0;
-        // The swapped-out runs leave with the packets; whatever lands in the
-        // emptied partition afterwards starts a fresh run sequence.
-        part.run_ends.clear();
-        part.unsorted_appends = false;
       }
-      std::sort(local.begin(), local.end());
+      MergeRuns(&local, std::move(local_ends));
       if (SpillSortedRun(victim, local)) {
         budget_->Release(victim_bytes);
       } else {
         // The disk failed twice: put the packets back and run over budget —
         // the fault-injection contract is a successful (if unbounded) run.
+        // They are sorted, so they return as one more run after whatever
+        // arrived meanwhile.
         std::lock_guard<std::mutex> lock(part.mu);
         part.mem_bytes += victim_bytes;
-        if (part.packets.empty()) {
-          part.packets = std::move(local);
-        } else {
-          for (Packet& p : local) {
-            part.packets.push_back(std::move(p));
-          }
-        }
-        // The returned packets are one big sorted blob spliced over whatever
-        // arrived meanwhile; cheaper to re-sort than to track.
-        part.unsorted_appends = true;
+        part.packets.insert(part.packets.end(), std::make_move_iterator(local.begin()),
+                            std::make_move_iterator(local.end()));
+        part.run_ends.push_back(part.packets.size());
         return;
       }
     }
@@ -1321,9 +1295,8 @@ void RunShuffleAndReduce(ShuffleBuffer<Key>&& shuffle, size_t slots,
     ThreadPool pool(std::min(slots == 0 ? 1 : slots, num_parts));
     for (size_t part = 0; part < num_parts; ++part) {
       pool.Submit([part, &shuffle, &part_runs] {
-        // Merge the sorted runs the map workers appended (pipelined handoff)
-        // rather than re-sorting from scratch; falls back to a full sort
-        // when the run structure was voided (single Adds, spill put-back).
+        // Merge the sorted runs the producers appended (pipelined handoff)
+        // rather than re-sorting from scratch.
         shuffle.SortPartition(part);
         std::vector<ShufflePacket<Key>>& packets = shuffle.partition(part);
         if (shuffle.spilled(part)) {

@@ -138,6 +138,12 @@ int PollWithDeadline(struct pollfd* fds, size_t nfds,
 // faults, spill block write for spill faults — that triggers the fault
 // (`*` = every frame).
 //
+// A forked worker writes one frame per segment it owns, in order, then one
+// stream-end frame (runtime/process_engine.h), so a pipe fault's frame=k
+// selects the frame of the worker's segment number k (from 0), and k equal to
+// its segment count selects the stream end: a fault there loses no map
+// output, so it counts as a crash but re-executes nothing.
+//
 // Pipe faults: crash: _exit(42) before writing the frame; hang: block
 // forever (the parent's worker_timeout_ms watchdog must fire); truncate:
 // write half the frame, then _exit(0) — a silently truncated stream with a

@@ -3,12 +3,13 @@
 // and pipes").
 //
 // Each worker process owns a subset of the segments, runs the map tasks
-// (symbolic for SYMPLE, row-batching for the baseline), and streams its
-// serialized shuffle packets to the parent over a pipe. The parent routes
-// committed packets into the hash-partitioned shuffle buffer, sorts the
-// partitions in parallel, and reduces (docs/shuffle.md) — so the symbolic
-// summaries genuinely cross a process boundary in their wire form, exactly
-// as they cross machines in the distributed setting.
+// (symbolic for SYMPLE, row-batching for the baseline), and streams each
+// segment's serialized shuffle packets to the parent over a pipe as one
+// frame. The parent commits each segment's packets into the hash-partitioned
+// shuffle buffer as one sorted batch, merges the partitions in parallel, and
+// reduces (docs/shuffle.md) — so the symbolic summaries genuinely cross a
+// process boundary in their wire form, exactly as they cross machines in the
+// distributed setting.
 //
 // The parent's drain is a poll()-multiplexed loop over all worker pipes (no
 // head-of-line blocking when one worker fills its pipe buffer), and the
@@ -25,24 +26,26 @@
 // Wire protocol: a stream of [u32 LE size][payload] frames. Every payload is
 // a checksummed, versioned envelope
 //
-//   [u32 LE crc][u8 type][u8 version = 3][body]
+//   [u32 LE crc][u8 type][u8 version = 4][body]
 //
 // where the CRC-32 covers everything after the crc field (type, version and
 // body), so a single flipped bit anywhere in the payload fails validation.
-// The frame types and their bodies:
+// A worker writes one kFrameSegment per segment, then one kFrameStreamEnd:
 //
-//   kFramePacket      body = [varint segment_id][serialized ShufflePacket]
-//   kFrameSegmentDone body = [varint segment_id][segment counters]
-//   kFrameStreamEnd   body = (empty)
+//   kFrameSegment   body = [varint segment_id][segment counters]
+//                          [varint packet_count][serialized ShufflePacket]*
+//   kFrameStreamEnd body = (empty)
 //
 // The segment counters are the segment's map-task counters
-// (EncodeSegmentDone), folded into the run's EngineStats when the parent
+// (VisitSegmentCounters), folded into the run's EngineStats when the parent
 // commits the segment's packets.
 //
 // A frame that fails envelope validation (short, bad checksum, wrong
 // version) is a "corrupt" worker failure, counted in wire_corrupt_frames and
 // recovered like a crash: nothing from that pipe is trusted, and the
-// worker's uncommitted segments are re-executed.
+// worker's uncommitted segments are re-executed. A segment body that does not
+// decode inside a valid envelope is a "protocol" failure, recovered the same
+// way.
 //
 // See docs/process_engine.md for the full failure-semantics contract and the
 // SYMPLE_FAULT_SPEC fault-injection hook.
@@ -60,7 +63,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -77,15 +79,14 @@ namespace symple {
 namespace internal {
 
 enum ForkedFrameType : uint8_t {
-  kFramePacket = 1,
-  kFrameSegmentDone = 2,
-  kFrameStreamEnd = 3,
+  kFrameSegment = 1,
+  kFrameStreamEnd = 2,
 };
 
 // Bumped whenever the frame envelope or any body layout changes; a version
 // mismatch is indistinguishable from corruption to the parent and handled
 // the same way (kill + retry), never by guessing the old layout.
-inline constexpr uint8_t kForkedWireVersion = 3;
+inline constexpr uint8_t kForkedWireVersion = 4;
 
 // Frame payloads shorter than the envelope cannot carry a checksum.
 inline constexpr size_t kFrameEnvelopeBytes = 6;  // crc(4) + type + version
@@ -135,7 +136,7 @@ inline BinaryReader ValidateWorkerFrame(const std::vector<uint8_t>& frame,
                       frame.size() - kFrameEnvelopeBytes);
 }
 
-// The counters a kFrameSegmentDone body carries after the segment id, in wire
+// The counters a kFrameSegment body carries after the segment id, in wire
 // order: records, parsed, cpu_ms (the only double), summaries, summary_paths,
 // the 7 exploration counters and the 4 group-table counters. The encoder and
 // the decoder both walk this one list. Spans, packet counts and per-group
@@ -161,9 +162,12 @@ void VisitSegmentCounters(Task& t, Visit&& visit) {
   visit(t.group_map.probe_steps);
 }
 
-// Writes a kFrameSegmentDone body: [varint segment_id][counters].
-inline void EncodeSegmentDone(uint32_t segment_id, const obs::MapTaskObs& t,
-                              BinaryWriter* body) {
+// Writes a kFrameSegment body: [varint segment_id][counters][varint
+// packet_count], then the packets in the codec the spill blocks also use
+// (SerializePacketFrame, runtime/engine.h).
+template <typename Key>
+void EncodeSegment(uint32_t segment_id, const obs::MapTaskObs& t,
+                   const std::vector<ShufflePacket<Key>>& packets, BinaryWriter* body) {
   body->WriteVarUint(segment_id);
   VisitSegmentCounters(t, [body](const auto& v) {
     if constexpr (std::is_same_v<std::decay_t<decltype(v)>, double>) {
@@ -172,14 +176,20 @@ inline void EncodeSegmentDone(uint32_t segment_id, const obs::MapTaskObs& t,
       body->WriteVarUint(v);
     }
   });
+  body->WriteVarUint(packets.size());
+  for (const ShufflePacket<Key>& p : packets) {
+    SerializePacketFrame(p, *body);
+  }
 }
 
-// Reads a kFrameSegmentDone body into *t and returns the segment id. The body
-// arrived inside a valid checksummed envelope, so a short or over-long one is
-// a worker speaking the wrong protocol rather than line noise: it throws
-// SympleIoError (a "protocol" failure, whose segments are retried), never
-// SympleWireError.
-inline uint32_t DecodeSegmentDone(BinaryReader r, obs::MapTaskObs* t) {
+// Reads a kFrameSegment body into *t and *packets and returns the segment id.
+// The body arrived inside a valid checksummed envelope, so one that does not
+// decode — short, over-long, or a packet running past its end — is a worker
+// speaking the wrong protocol rather than line noise: it throws SympleIoError
+// (a "protocol" failure, whose segments are retried), never SympleWireError.
+template <typename Key>
+uint32_t DecodeSegment(BinaryReader r, obs::MapTaskObs* t,
+                       std::vector<ShufflePacket<Key>>* packets) {
   uint32_t segment_id = 0;
   try {
     segment_id = r.ReadVarUint32();
@@ -190,30 +200,30 @@ inline uint32_t DecodeSegmentDone(BinaryReader r, obs::MapTaskObs* t) {
         v = r.ReadVarUint();
       }
     });
+    const uint64_t count = r.ReadVarUint();
+    for (uint64_t i = 0; i < count; ++i) {
+      packets->push_back(DeserializePacketFrame<Key>(r));
+    }
   } catch (const SympleWireError& e) {
-    throw SympleIoError(std::string("truncated segment-done body: ") + e.what());
+    throw SympleIoError(std::string("undecodable segment frame: ") + e.what());
   }
   if (!r.AtEnd()) {
-    throw SympleIoError("trailing bytes after the segment-done counters");
+    throw SympleIoError("trailing bytes after a segment frame's packets");
   }
   return segment_id;
 }
 
-// SerializePacketFrame / DeserializePacketFrame live in runtime/engine.h:
-// the same packet layout rides both the forked pipe and spill-file blocks.
-
 // Forks workers over the dataset's segments (worker w initially owns
 // s ≡ w (mod num_processes)), drains all pipes concurrently, and recovers
-// from worker failures by re-executing incomplete segments. Committed packets
-// are routed into `shuffle`'s hash partitions as their segments complete,
-// and each committed segment's counters — shipped in its segment-done frame —
-// fold into `stats` through FoldMapTask, like a threaded map task's; the
-// drain adds the worker_retries / worker_timeouts / worker_crashes /
-// wire_corrupt_frames / fallback_segments counters. With an observer
-// attached, the parent reports one observation per worker drain (its
-// committed segments summed, with the worker's wait4 CPU and peak RSS;
-// per-group histograms stay threaded-only) and one OnWorkerFailure event per
-// kill.
+// from worker failures by re-executing incomplete segments. Each segment
+// arrives as one frame and commits whole: its packets enter `shuffle` through
+// one AddBatch, and its counters — shipped in the same frame — fold into
+// `stats` through FoldMapTask, like a threaded map task's; the drain adds the
+// worker_retries / worker_timeouts / worker_crashes / wire_corrupt_frames /
+// fallback_segments counters. With an observer attached, the parent reports
+// one observation per worker drain (its committed segments summed, with the
+// worker's wait4 CPU and peak RSS; per-group histograms stay threaded-only)
+// and one OnWorkerFailure event per kill.
 //
 // Children run MapChunk — the thread executor's map task — on whole segments
 // with no budget and no shuffle to flush into: a child is already one core
@@ -239,7 +249,6 @@ void RunForkedMapPhase(const Dataset& data, const EngineOptions& options,
     uint32_t spawn_seq = 0;
     int attempt = 0;                  // respawns consumed for this lineage
     std::vector<uint32_t> pending;    // segments not yet committed
-    std::map<uint32_t, std::vector<Packet>> partial;  // uncommitted packets
     FrameDecoder decoder;
     Clock::time_point last_progress;
     bool stream_end = false;
@@ -284,23 +293,17 @@ void RunForkedMapPhase(const Dataset& data, const EngineOptions& options,
         BinaryWriter frame_body;
         BinaryWriter payload;
         for (const uint32_t s : w->pending) {
-          // The segment's CPU covers its map body and its packet frames.
+          // The segment's CPU covers its map task, not the encoding of the
+          // frame that ships it.
           obs::MapTaskObs task;
           const double cpu0 = ThreadCpuMs();
-          std::vector<Packet> packets =
+          const std::vector<Packet> packets =
               MapChunk(body, data.segments[s], s, /*first_record=*/0, &task,
                        /*budget=*/nullptr, /*shuffle=*/nullptr);
-          for (const Packet& p : packets) {
-            frame_body.Clear();
-            frame_body.WriteVarUint(s);
-            SerializePacketFrame(p, frame_body);
-            BuildWorkerFrame(kFramePacket, frame_body, &payload);
-            writer.WriteFrame(payload.buffer());
-          }
           task.cpu_ms = ThreadCpuMs() - cpu0;
           frame_body.Clear();
-          EncodeSegmentDone(s, task, &frame_body);
-          BuildWorkerFrame(kFrameSegmentDone, frame_body, &payload);
+          EncodeSegment(s, task, packets, &frame_body);
+          BuildWorkerFrame(kFrameSegment, frame_body, &payload);
           writer.WriteFrame(payload.buffer());
         }
         frame_body.Clear();
@@ -318,27 +321,23 @@ void RunForkedMapPhase(const Dataset& data, const EngineOptions& options,
     return w;
   };
 
-  // Commits one completed segment: its buffered packets become visible in the
-  // output, and its counters — the child's plus the packets and bytes counted
-  // here — fold into the run's totals. Until this point the segment leaves no
-  // trace, so discarding a failed worker's partial state and re-running its
-  // pending segments can never duplicate or drop packets or counts.
-  auto commit_segment = [&](WorkerState& w, uint32_t seg, obs::MapTaskObs& task) {
+  // Commits one segment frame: its packets become visible in the output, and
+  // its counters — the child's plus the packets and bytes counted here — fold
+  // into the run's totals. A segment leaves no trace until its whole frame has
+  // decoded and its owner is checked, so discarding a failed worker and
+  // re-running its pending segments can never duplicate or drop packets or
+  // counts.
+  auto commit_segment = [&](WorkerState& w, BinaryReader frame_body) {
+    obs::MapTaskObs task;
+    std::vector<Packet> packets;
+    const uint32_t seg = DecodeSegment(frame_body, &task, &packets);
     const auto pending_it = std::find(w.pending.begin(), w.pending.end(), seg);
     if (pending_it == w.pending.end()) {
-      throw SympleIoError("segment-done for a segment this worker does not own");
+      throw SympleIoError("segment frame for a segment this worker does not own");
     }
     w.pending.erase(pending_it);
-    auto it = w.partial.find(seg);
-    if (it != w.partial.end()) {  // a segment may produce no packets
-      for (Packet& p : it->second) {
-        const uint64_t bytes = PacketBytes(p);
-        task.bytes += bytes;
-        ++task.packets;
-        shuffle->Add(std::move(p), bytes);
-      }
-      w.partial.erase(it);
-    }
+    task.packets = packets.size();
+    task.bytes = shuffle->AddBatch(std::move(packets));
     FoldMapTask(task, stats);
     w.task += task;
   };
@@ -348,16 +347,8 @@ void RunForkedMapPhase(const Dataset& data, const EngineOptions& options,
     while (w.decoder.Next(&frame)) {
       uint8_t type = 0;
       BinaryReader r = ValidateWorkerFrame(frame, &type);
-      if (type == kFramePacket) {
-        const uint32_t seg = r.ReadVarUint32();
-        if (std::find(w.pending.begin(), w.pending.end(), seg) == w.pending.end()) {
-          throw SympleIoError("packet for a segment this worker does not own");
-        }
-        w.partial[seg].push_back(DeserializePacketFrame<Key>(r));
-      } else if (type == kFrameSegmentDone) {
-        obs::MapTaskObs task;
-        const uint32_t seg = DecodeSegmentDone(r, &task);
-        commit_segment(w, seg, task);
+      if (type == kFrameSegment) {
+        commit_segment(w, r);
       } else if (type == kFrameStreamEnd) {
         if (!w.pending.empty()) {
           throw SympleIoError("stream end with incomplete segments");
@@ -411,7 +402,7 @@ void RunForkedMapPhase(const Dataset& data, const EngineOptions& options,
     const int attempt = w.attempt;
     if (pending.empty()) {
       // Nothing left to recover (e.g. the stream died after the last
-      // segment-done but before stream-end); the worker's output is complete.
+      // segment frame but before stream-end); the worker's output is complete.
       slot.reset();
       return;
     }
@@ -524,10 +515,10 @@ void RunForkedMapPhase(const Dataset& data, const EngineOptions& options,
 
 // Executor running the map phase in forked worker processes. Only the
 // parent-side shuffle buffer is tracked against the memory budget (the
-// children keep their own address spaces), and the parent drain's Adds
-// trigger spills while workers are still producing. Forked children always
-// _exit without running destructors, so a child forked after the spill
-// directory exists can never double-unlink it.
+// children keep their own address spaces), and each segment the parent drain
+// commits through AddBatch can trigger spills while workers are still
+// producing. Forked children always _exit without running destructors, so a
+// child forked after the spill directory exists can never double-unlink it.
 struct ForkExecutor {
   template <typename Body>
   static void RunMap(const Dataset& data, const EngineOptions& options,

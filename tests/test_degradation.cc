@@ -313,6 +313,7 @@ TEST(Degradation, CorruptFrameReportedInRunReport) {
   options.observer = &observer;
   const auto forked = RunSympleForked<LedgerQuery>(data, options);
   ASSERT_GE(forked.stats.wire_corrupt_frames, 1u);
+  EXPECT_GE(forked.stats.worker_retries, 1u);
 
   const obs::RunReport report =
       MakeRunReport("ledger", "symple-forked", options, forked.stats, &observer);

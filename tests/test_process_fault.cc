@@ -116,7 +116,7 @@ TEST(ProcessFault, WorkerCrashMidStreamRecovers) {
   const auto seq = RunSequential<G1OnlyPushes>(data);
   const auto threaded = RunSymple<G1OnlyPushes>(data);
 
-  FaultGuard fault("crash:worker=1:frame=2");
+  FaultGuard fault("crash:worker=1:frame=1");
   const EngineOptions options = ForkedOptions(3);
   const auto forked = RunSympleForked<G1OnlyPushes>(data, options);
   EXPECT_TRUE(forked.outputs == seq.outputs);
@@ -165,7 +165,7 @@ TEST(ProcessFault, LostMapOutputIsReExecuted) {
     for (const std::string mode : {"crash", "truncate", "corrupt"}) {
       for (const bool every_spawn : {false, true}) {
         const std::string spec =
-            mode + (every_spawn ? ":worker=*:frame=2" : ":worker=1:frame=2");
+            mode + (every_spawn ? ":worker=*:frame=0" : ":worker=1:frame=1");
         SCOPED_TRACE(std::string(engine.name) + " " + spec);
         FaultGuard fault(spec.c_str());
         EngineOptions options = ForkedOptions(processes);
@@ -258,7 +258,7 @@ TEST(ProcessFault, TruncatedStreamRecovers) {
   const Dataset data = SmallGithub();
   const auto seq = RunSequential<G2OpsBeforeDelete>(data);
 
-  FaultGuard fault("truncate:worker=2:frame=4");
+  FaultGuard fault("truncate:worker=2:frame=1");
   const EngineOptions options = ForkedOptions(3);
   const auto forked_mr = RunBaselineForked<G2OpsBeforeDelete>(data, options);
   EXPECT_TRUE(forked_mr.outputs == seq.outputs);
@@ -294,9 +294,10 @@ TEST(ProcessFault, NoFdLeaksOrZombiesAfterFailures) {
 
   const size_t fds_before = CountOpenFds();
   {
-    FaultGuard fault("crash:worker=1:frame=3");
+    FaultGuard fault("crash:worker=1:frame=1");
     const auto forked = RunSympleForked<G1OnlyPushes>(data, ForkedOptions(3));
     EXPECT_GE(forked.stats.worker_crashes, 1u);
+    EXPECT_GE(forked.stats.worker_retries, 1u);
   }
   {
     FaultGuard fault("truncate:worker=*:frame=0");
@@ -314,7 +315,7 @@ TEST(ProcessFault, NoFdLeaksOrZombiesAfterFailures) {
 
 TEST(ProcessFault, RunReportRecordsRetries) {
   const Dataset data = SmallGithub();
-  FaultGuard fault("crash:worker=1:frame=2");
+  FaultGuard fault("crash:worker=1:frame=1");
   EngineOptions options = ForkedOptions(3);
   obs::RunObserver observer("symple-forked");
   options.observer = &observer;

@@ -90,6 +90,8 @@ TEST(ShufflePartition, RoutingIsDeterministicAndInRange) {
 }
 
 TEST(ShufflePartition, AddAndAddBatchAgreeOnRoutingAndBytes) {
+  // One batch against the same packets added one AddBatch each: the routing,
+  // the per-partition bytes and, once merged, the order must agree.
   SplitMix64 rng(23);
   std::vector<ShufflePacket<int64_t>> packets;
   for (int i = 0; i < 300; ++i) {
@@ -101,10 +103,10 @@ TEST(ShufflePartition, AddAndAddBatchAgreeOnRoutingAndBytes) {
   ShuffleBuffer<int64_t> one_by_one(parts);
   uint64_t expected_total = 0;
   for (const auto& p : packets) {
-    auto copy = p;
-    const uint64_t bytes = PacketBytes(copy);
+    std::vector<ShufflePacket<int64_t>> single = {p};
+    const uint64_t bytes = PacketBytes(p);
     expected_total += bytes;
-    one_by_one.Add(std::move(copy), bytes);
+    EXPECT_EQ(one_by_one.AddBatch(std::move(single)), bytes);
   }
   ShuffleBuffer<int64_t> batched(parts);
   auto batch = packets;
@@ -112,11 +114,21 @@ TEST(ShufflePartition, AddAndAddBatchAgreeOnRoutingAndBytes) {
 
   uint64_t total_bytes = 0;
   for (size_t i = 0; i < parts; ++i) {
-    EXPECT_EQ(one_by_one.partition(i).size(), batched.partition(i).size());
     EXPECT_EQ(one_by_one.partition_bytes(i), batched.partition_bytes(i));
     total_bytes += batched.partition_bytes(i);
     for (const auto& p : batched.partition(i)) {
       EXPECT_EQ(ShufflePartitionOf(p.key, parts), i) << "packet in wrong partition";
+    }
+    one_by_one.SortPartition(i);
+    batched.SortPartition(i);
+    const auto& a = one_by_one.partition(i);
+    const auto& b = batched.partition(i);
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t j = 0; j < a.size(); ++j) {
+      EXPECT_EQ(a[j].key, b[j].key);
+      EXPECT_EQ(a[j].mapper_id, b[j].mapper_id);
+      EXPECT_EQ(a[j].record_id, b[j].record_id);
+      EXPECT_EQ(a[j].blob, b[j].blob);
     }
   }
   EXPECT_EQ(total_bytes, expected_total);

@@ -561,6 +561,14 @@ TEST(SpillFault, PersistentDiskFailureFallsBackToMemory) {
   // engines must finish in memory — over budget, but correct.
   const Dataset data = SmallGithub();
   const auto ref = RunSequential<G1OnlyPushes>(data);
+  // The forked parent charges and spills through the same AddBatch, and both
+  // forked engines spill under this budget, so under the fault each of their
+  // failed spills puts its sorted block back into its partition as one more
+  // run.
+  EXPECT_GT(RunBaselineForked<G1OnlyPushes>(data, TinyBudgetOptions()).stats.spill_runs,
+            0u);
+  EXPECT_GT(RunSympleForked<G1OnlyPushes>(data, TinyBudgetOptions()).stats.spill_runs,
+            0u);
   FaultGuard guard("spill-enospc:worker=*:frame=*");
 
   const auto mr = RunBaselineMapReduce<G1OnlyPushes>(data, TinyBudgetOptions());
@@ -575,6 +583,14 @@ TEST(SpillFault, PersistentDiskFailureFallsBackToMemory) {
   const auto sym = RunSymple<G1OnlyPushes>(data, TinyBudgetOptions());
   EXPECT_TRUE(sym.outputs == ref.outputs);
   EXPECT_EQ(sym.stats.spill_runs, 0u);
+
+  const auto mr_forked = RunBaselineForked<G1OnlyPushes>(data, TinyBudgetOptions());
+  EXPECT_TRUE(mr_forked.outputs == ref.outputs);
+  EXPECT_EQ(mr_forked.stats.spill_runs, 0u);
+
+  const auto sym_forked = RunSympleForked<G1OnlyPushes>(data, TinyBudgetOptions());
+  EXPECT_TRUE(sym_forked.outputs == ref.outputs);
+  EXPECT_EQ(sym_forked.stats.spill_runs, 0u);
 }
 
 TEST(SpillFault, NoTempFilesLeakAfterInjectedEnospc) {
@@ -612,12 +628,13 @@ TEST(SpillFault, ForkedWorkerCrashCombinesWithSpillFault) {
   const Dataset data = SmallGithub();
   const auto ref = RunSequential<G1OnlyPushes>(data);
 
-  FaultGuard guard("crash:worker=1:frame=2;spill-corrupt:worker=*:frame=0");
+  FaultGuard guard("crash:worker=1:frame=1;spill-corrupt:worker=*:frame=0");
   EngineOptions options = TinyBudgetOptions();
   options.map_slots = 3;
   const auto forked = RunSympleForked<G1OnlyPushes>(data, options);
   EXPECT_TRUE(forked.outputs == ref.outputs);
   EXPECT_GE(forked.stats.worker_crashes, 1u);
+  EXPECT_GE(forked.stats.worker_retries, 1u);
   EXPECT_GT(forked.stats.spill_runs, 0u);
 }
 

@@ -89,30 +89,48 @@ TEST(WireHardening, Crc32ExtendChains) {
 
 // --- frame envelope ---------------------------------------------------------
 
-std::vector<uint8_t> GoldenFrame() {
+// A real segment frame: the SYMPLE map task's packets for a small ledger
+// segment with three accounts, and every shipped counter set to a distinct
+// value.
+struct GoldenSegmentFrame {
+  obs::MapTaskObs task;
+  std::vector<internal::ShufflePacket<int64_t>> packets;
+  std::vector<uint8_t> body;
+  std::vector<uint8_t> frame;
+};
+
+GoldenSegmentFrame MakeGoldenSegmentFrame() {
+  GoldenSegmentFrame g;
+  const Dataset data = DatasetFromLines({{"1\t5", "2\t-3", "1\t7", "3\t4"}});
+  const EngineOptions options;
+  g.packets = internal::MapChunk(
+      internal::SummariesBody<LedgerQuery>{data, options, 0}, data.segments[0], 0,
+      /*first_record=*/0, &g.task, /*budget=*/nullptr, /*shuffle=*/nullptr);
+  uint64_t next = 1;
+  internal::VisitSegmentCounters(g.task, [&next](auto& v) { v = next++ * 300; });
+  g.task.cpu_ms = 12.625;
   BinaryWriter body;
-  body.WriteVarUint(7);  // segment id
-  body.WriteString("payload");
+  internal::EncodeSegment(41, g.task, g.packets, &body);
+  g.body = body.buffer();
   BinaryWriter payload;
-  internal::BuildWorkerFrame(internal::kFramePacket, body, &payload);
-  return payload.buffer();
+  internal::BuildWorkerFrame(internal::kFrameSegment, body, &payload);
+  g.frame = payload.buffer();
+  return g;
 }
 
 TEST(WireHardening, FrameEnvelopeRoundTrip) {
-  const std::vector<uint8_t> frame = GoldenFrame();
+  const GoldenSegmentFrame g = MakeGoldenSegmentFrame();
   uint8_t type = 0;
-  BinaryReader r = internal::ValidateWorkerFrame(frame, &type);
-  EXPECT_EQ(type, internal::kFramePacket);
-  EXPECT_EQ(r.ReadVarUint(), 7u);
-  EXPECT_EQ(r.ReadString(), "payload");
-  EXPECT_TRUE(r.AtEnd());
+  BinaryReader r = internal::ValidateWorkerFrame(g.frame, &type);
+  EXPECT_EQ(type, internal::kFrameSegment);
+  EXPECT_EQ(r.remaining(), g.body.size());
 }
 
 TEST(WireHardening, FrameEnvelopeDetectsEverySingleBitFlip) {
   // The CRC covers type, version, and body; a flip in the CRC field itself
   // mismatches the recomputed value. So no single-bit corruption anywhere in
   // the payload may pass validation.
-  const std::vector<uint8_t> golden = GoldenFrame();
+  const std::vector<uint8_t> golden = MakeGoldenSegmentFrame().frame;
   for (size_t i = 0; i < golden.size(); ++i) {
     for (int bit = 0; bit < 8; ++bit) {
       std::vector<uint8_t> frame = golden;
@@ -125,7 +143,7 @@ TEST(WireHardening, FrameEnvelopeDetectsEverySingleBitFlip) {
 }
 
 TEST(WireHardening, FrameEnvelopeRejectsShortFrames) {
-  const std::vector<uint8_t> golden = GoldenFrame();
+  const std::vector<uint8_t> golden = MakeGoldenSegmentFrame().frame;
   for (size_t len = 0; len < internal::kFrameEnvelopeBytes; ++len) {
     std::vector<uint8_t> frame(golden.begin(),
                                golden.begin() + static_cast<ptrdiff_t>(len));
@@ -150,23 +168,25 @@ TEST(WireHardening, FrameEnvelopeRejectsVersionMismatch) {
   EXPECT_THROW(internal::ValidateWorkerFrame(frame, &type), SympleWireError);
 }
 
-// --- segment-done body ------------------------------------------------------
+// --- segment frame body -----------------------------------------------------
 
-// A segment-done body with every shipped counter set to a distinct value.
-std::vector<uint8_t> GoldenSegmentDone(obs::MapTaskObs* task) {
-  uint64_t next = 1;
-  internal::VisitSegmentCounters(*task, [&next](auto& v) { v = next++ * 300; });
-  task->cpu_ms = 12.625;
-  BinaryWriter body;
-  internal::EncodeSegmentDone(41, *task, &body);
-  return body.buffer();
-}
-
-TEST(WireHardening, SegmentDoneRoundTrip) {
-  obs::MapTaskObs sent;
-  const std::vector<uint8_t> body = GoldenSegmentDone(&sent);
+TEST(WireHardening, SegmentFrameRoundTrip) {
+  const GoldenSegmentFrame g = MakeGoldenSegmentFrame();
+  ASSERT_GE(g.packets.size(), 2u);
+  uint8_t type = 0;
   obs::MapTaskObs got;
-  EXPECT_EQ(internal::DecodeSegmentDone(BinaryReader(body), &got), 41u);
+  std::vector<internal::ShufflePacket<int64_t>> packets;
+  EXPECT_EQ(internal::DecodeSegment(internal::ValidateWorkerFrame(g.frame, &type),
+                                    &got, &packets),
+            41u);
+  ASSERT_EQ(packets.size(), g.packets.size());
+  for (size_t i = 0; i < packets.size(); ++i) {
+    EXPECT_EQ(packets[i].key, g.packets[i].key);
+    EXPECT_EQ(packets[i].mapper_id, g.packets[i].mapper_id);
+    EXPECT_EQ(packets[i].record_id, g.packets[i].record_id);
+    EXPECT_EQ(packets[i].blob, g.packets[i].blob);
+  }
+  const obs::MapTaskObs& sent = g.task;
   EXPECT_EQ(got.records, sent.records);
   EXPECT_EQ(got.parsed, sent.parsed);
   EXPECT_DOUBLE_EQ(got.cpu_ms, 12.625);
@@ -185,15 +205,21 @@ TEST(WireHardening, SegmentDoneRoundTrip) {
   EXPECT_EQ(got.group_map.probe_steps, sent.group_map.probe_steps);
 }
 
-TEST(WireHardening, SegmentDoneRejectsTruncationAndTrailingBytes) {
-  obs::MapTaskObs sent;
-  const std::vector<uint8_t> body = GoldenSegmentDone(&sent);
-  // A short or long body is a protocol failure (retried), not wire
-  // corruption (degraded): SympleIoError but never SympleWireError.
+TEST(WireHardening, SegmentFrameRejectsTruncationAndTrailingBytes) {
+  const GoldenSegmentFrame g = MakeGoldenSegmentFrame();
+  // A short or long body inside a valid envelope is a protocol failure
+  // (retried), not wire corruption: SympleIoError but never SympleWireError.
   const auto rejects_as_protocol = [](const std::vector<uint8_t>& bytes) {
+    BinaryWriter body;
+    body.WriteBytes(bytes.data(), bytes.size());
+    BinaryWriter payload;
+    internal::BuildWorkerFrame(internal::kFrameSegment, body, &payload);
+    uint8_t type = 0;
+    const BinaryReader r = internal::ValidateWorkerFrame(payload.buffer(), &type);
     obs::MapTaskObs got;
+    std::vector<internal::ShufflePacket<int64_t>> packets;
     try {
-      internal::DecodeSegmentDone(BinaryReader(bytes), &got);
+      internal::DecodeSegment(r, &got, &packets);
     } catch (const SympleWireError&) {
       return false;
     } catch (const SympleIoError&) {
@@ -201,12 +227,12 @@ TEST(WireHardening, SegmentDoneRejectsTruncationAndTrailingBytes) {
     }
     return false;
   };
-  for (size_t len = 0; len < body.size(); ++len) {
-    const std::vector<uint8_t> prefix(body.begin(),
-                                      body.begin() + static_cast<ptrdiff_t>(len));
+  for (size_t len = 0; len < g.body.size(); ++len) {
+    const std::vector<uint8_t> prefix(g.body.begin(),
+                                      g.body.begin() + static_cast<ptrdiff_t>(len));
     EXPECT_TRUE(rejects_as_protocol(prefix)) << "prefix of " << len << " bytes";
   }
-  std::vector<uint8_t> longer = body;
+  std::vector<uint8_t> longer = g.body;
   longer.push_back(0);
   EXPECT_TRUE(rejects_as_protocol(longer));
 }
