@@ -14,8 +14,9 @@
 // static stride assigns run k to worker k % slots, largest-first dispatch
 // assigns each run (in LPT order) to the earliest-free worker — exactly what
 // the shared-cursor dispatch in RunShuffleAndReduce converges to. The real
-// RunShuffleAndReduce still executes both configs and their reduce checksums
-// must match.
+// RunShuffleAndReduce still executes both configs, and each one's returned
+// outputs must equal, key by key, a reference built by grouping the workload
+// directly.
 //
 // Three key distributions over identical packet volume:
 //   uniform — many equal groups; both schedules balance, ~1x (sanity floor).
@@ -28,7 +29,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <mutex>
+#include <map>
 #include <queue>
 #include <string>
 #include <string_view>
@@ -236,29 +237,59 @@ Modeled ModelPartitioned(const std::vector<ShufflePacket<int64_t>>& workload,
   return m;
 }
 
-// Execute the real engine path and return the reduce checksum + stats, so the
-// two configs are proven output-equivalent and the bench JSON carries real
-// EngineStats (partition counts, skew, shuffle/reduce wall on this host).
-uint64_t RunReal(const std::vector<ShufflePacket<int64_t>>& workload,
-                 size_t partitions, size_t slots, EngineStats* stats) {
+// One key's reduce output: the wrapping sum of its packets' ReducePacket
+// values. A sum, not an in-order fold, because packets that tie on (key,
+// mapper, record) have no defined order between them.
+using KeySums = std::map<int64_t, uint64_t>;
+
+// The reference outputs: the workload grouped by key directly, no shuffle.
+KeySums ReferenceSums(const std::vector<ShufflePacket<int64_t>>& workload) {
+  KeySums sums;
+  for (const auto& p : workload) {
+    sums[p.key] += ReducePacket(p);
+  }
+  return sums;
+}
+
+// Names the first key whose output differs between `want` and `got`; empty
+// when the two maps agree.
+std::string FirstDivergentKey(const KeySums& want, const KeySums& got) {
+  for (const auto& [key, sum] : want) {
+    const auto it = got.find(key);
+    if (it == got.end()) {
+      return "key " + std::to_string(key) + " has no output";
+    }
+    if (it->second != sum) {
+      return "key " + std::to_string(key) + " reduced to a different value";
+    }
+  }
+  for (const auto& entry : got) {
+    if (want.count(entry.first) == 0) {
+      return "key " + std::to_string(entry.first) + " is not in the workload";
+    }
+  }
+  return {};
+}
+
+// Execute the real engine path and return its per-key outputs + stats, so
+// each config is checked against the reference and the bench JSON carries
+// real EngineStats (partition counts, skew, measured shuffle/reduce wall).
+KeySums RunReal(const std::vector<ShufflePacket<int64_t>>& workload,
+                size_t partitions, size_t slots, EngineStats* stats) {
   ShuffleBuffer<int64_t> shuffle(partitions);
   auto batch = workload;
   shuffle.AddBatch(std::move(batch));
-  std::mutex mu;
-  uint64_t checksum = 0;
-  internal::RunShuffleAndReduce<int64_t>(
+  return internal::RunShuffleAndReduce<int64_t>(
       std::move(shuffle), slots,
-      [&mu, &checksum](const int64_t&, const ShufflePacket<int64_t>* first,
-                       const ShufflePacket<int64_t>* last) {
-        uint64_t local = 0;
+      [](const int64_t&, const ShufflePacket<int64_t>* first,
+         const ShufflePacket<int64_t>* last) {
+        uint64_t sum = 0;
         for (const auto* p = first; p != last; ++p) {
-          local ^= ReducePacket(*p);
+          sum += ReducePacket(*p);
         }
-        std::lock_guard<std::mutex> lock(mu);
-        checksum ^= local;
+        return sum;
       },
       stats);
-  return checksum;
 }
 
 }  // namespace
@@ -277,18 +308,22 @@ int main() {
   for (const char* shape : {"uniform", "zipf", "single"}) {
     const auto workload = MakeWorkload(shape, packets);
     const double per_packet_ms = PerPacketReduceMs(workload);
+    const KeySums reference = ReferenceSums(workload);
     for (const size_t slots : {size_t{4}, size_t{8}}) {
       const Modeled old_run = ModelStatic(workload, per_packet_ms, slots);
       const Modeled new_run = ModelPartitioned(workload, per_packet_ms, slots);
 
       EngineStats old_stats;
       EngineStats new_stats;
-      const uint64_t old_sum =
-          RunReal(workload, /*partitions=*/1, slots, &old_stats);
-      const uint64_t new_sum =
-          RunReal(workload, /*partitions=*/slots, slots, &new_stats);
-      if (old_sum != new_sum) {
-        std::printf("ERROR: %s/%zu: partitioned reduce diverged\n", shape, slots);
+      const std::string old_diverged = FirstDivergentKey(
+          reference, RunReal(workload, /*partitions=*/1, slots, &old_stats));
+      const std::string new_diverged = FirstDivergentKey(
+          reference, RunReal(workload, /*partitions=*/slots, slots, &new_stats));
+      if (!old_diverged.empty() || !new_diverged.empty()) {
+        std::printf("ERROR: %s/%zu: reduce diverged from the grouped workload"
+                    " (1 partition: %s; %zu partitions: %s)\n",
+                    shape, slots, old_diverged.empty() ? "ok" : old_diverged.c_str(),
+                    slots, new_diverged.empty() ? "ok" : new_diverged.c_str());
         return 1;
       }
 

@@ -86,7 +86,8 @@ fi
 # Zipf-skewed key runs (one hot group plus a flat tail); the binary itself
 # enforces >= 1.5x modeled shuffle+reduce makespan for the partitioned
 # largest-first shuffle over one partition with a static-stride reduce at
-# 4 and 8 slots, with matching reduce checksums, exiting nonzero otherwise.
+# 4 and 8 slots, and that both configs' reduce outputs equal, key by key, the
+# workload grouped directly; it exits nonzero otherwise.
 (cd "$gate_dir" && ../../build/bench/bench_shuffle_skew)
 
 # --- end-to-end benchmark smoke ------------------------------------------------

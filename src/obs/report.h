@@ -202,7 +202,9 @@ class RunObserver {
 
   void OnMapTask(const MapTaskObs& t);
   void OnReduceTask(const ReduceTaskObs& t);
-  // One shuffle hash partition after its parallel sort and run detection.
+  // One shuffle hash partition once the reduce has consumed it: its
+  // cumulative bytes and packets, and the key runs it reduced (a spilled
+  // partition's are counted by its merge).
   void OnShufflePartition(uint32_t partition_id, uint64_t bytes,
                           uint64_t packets, uint64_t runs);
   // A named engine phase (e.g. "shuffle_sort"); also recorded as a span.

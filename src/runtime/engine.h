@@ -58,6 +58,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -423,12 +424,23 @@ class ShuffleBuffer {
     }
   }
 
-  ~ShuffleBuffer() {
+  ~ShuffleBuffer() { Release(); }
+
+  // Frees every buffered packet and on-disk run (and the spill directory)
+  // and returns the buffered bytes to the budget. The cumulative per-partition
+  // counts survive. The reduce stage calls it on the coordinating thread once
+  // the packets are consumed, so their teardown lands inside the run's walls.
+  void Release() {
+    uint64_t held = 0;
+    for (auto& p : parts_) {
+      held += p->mem_bytes;
+      p->mem_bytes = 0;
+      std::vector<Packet>().swap(p->packets);
+      p->run_ends.clear();
+      p->runs.clear();
+    }
+    dir_.reset();
     if (budget_ != nullptr) {
-      uint64_t held = 0;
-      for (const auto& p : parts_) {
-        held += p->mem_bytes;
-      }
       budget_->Release(held);
     }
   }
@@ -485,6 +497,7 @@ class ShuffleBuffer {
         std::lock_guard<std::mutex> lock(target.mu);
         target.bytes += local_bytes[part];
         target.mem_bytes += local_bytes[part];
+        target.packet_count += local[part].size();
         for (const size_t idx : local[part]) {
           target.packets.push_back(std::move(batch[idx]));
         }
@@ -510,11 +523,13 @@ class ShuffleBuffer {
 
   // Post-barrier accessors; callers must have quiesced all producers.
   std::vector<Packet>& partition(size_t i) { return parts_[i]->packets; }
+  // Cumulative over the run: a spilled partition counts its on-disk runs.
   uint64_t partition_bytes(size_t i) const { return parts_[i]->bytes; }
+  uint64_t partition_packets(size_t i) const { return parts_[i]->packet_count; }
   uint64_t total_packets() const {
     uint64_t n = 0;
     for (const auto& p : parts_) {
-      n += p->packets.size();
+      n += p->packet_count;
     }
     return n;
   }
@@ -581,8 +596,9 @@ class ShuffleBuffer {
     // Ends of the sorted runs appended so far ([0, run_ends[0]) is run 0,
     // [run_ends[0], run_ends[1]) run 1, ...); the last one is packets.size().
     std::vector<size_t> run_ends;
-    uint64_t bytes = 0;      // cumulative serialized bytes routed here
-    uint64_t mem_bytes = 0;  // bytes currently buffered (drops on spill)
+    uint64_t bytes = 0;         // cumulative serialized bytes routed here
+    uint64_t packet_count = 0;  // cumulative packets routed here
+    uint64_t mem_bytes = 0;     // bytes currently buffered (drops on spill)
     std::vector<std::unique_ptr<TempFile>> runs;  // on disk; see spill_mu_
   };
 
@@ -1258,12 +1274,57 @@ struct KeyRun {
   size_t first = 0;
   size_t last = 0;
   uint64_t bytes = 0;
+  // The run's position among its partition's key runs, which is also its
+  // output slot. Only the worker that reduces the run writes the slot.
+  size_t slot = 0;
   // A spilled partition (docs/spill.md) dispatches as one unit: its keys
   // stream out of the k-way disk merge, so they cannot be split into
-  // independently schedulable runs. first/last are unused; bytes is the
+  // independently schedulable runs. first/last/slot are unused; bytes is the
   // whole partition's serialized weight.
   bool spilled = false;
 };
+
+// A partition's reduced keys in key order. A resident partition's slots are
+// sized up front and each is filled by the worker that reduces its run; a
+// spilled partition's single worker appends them in MergePartition's order.
+template <typename Key, typename Output>
+using OutputSlots = std::vector<std::optional<std::pair<Key, Output>>>;
+
+// RunShuffleAndReduce's output collection (docs/shuffle.md step 4): one
+// P-way merge over the partitions' key-ordered slots. Every key must come
+// out strictly greater than the one before, so a key reduced twice, or
+// found in two partitions, is an error rather than a silent overwrite.
+template <typename Key, typename Output>
+std::map<Key, Output> MergeOutputSlots(std::vector<OutputSlots<Key, Output>> parts) {
+  std::map<Key, Output> out;
+  std::vector<size_t> pos(parts.size(), 0);
+  const auto head = [&](size_t p) -> const Key* {
+    if (pos[p] == parts[p].size()) {
+      return nullptr;
+    }
+    SYMPLE_CHECK(parts[p][pos[p]].has_value(),
+                 "a reduced key run left its output slot empty");
+    return &parts[p][pos[p]]->first;
+  };
+  for (;;) {
+    size_t best = parts.size();
+    const Key* best_key = nullptr;
+    for (size_t p = 0; p < parts.size(); ++p) {
+      const Key* key = head(p);
+      if (key != nullptr && (best_key == nullptr || *key < *best_key)) {
+        best = p;
+        best_key = key;
+      }
+    }
+    if (best_key == nullptr) {
+      return out;
+    }
+    SYMPLE_CHECK(out.empty() || std::prev(out.end())->first < *best_key,
+                 "a key was reduced twice or found in two partitions");
+    auto& [key, output] = *parts[best][pos[best]++];
+    out.emplace_hint(out.end(), std::move(key), std::move(output));
+  }
+}
 
 // The shuffle + reduce stage over hash-partitioned mapper output:
 //
@@ -1275,14 +1336,23 @@ struct KeyRun {
 //      serialized bytes) from a shared work queue that idle workers pull
 //      from, so a hot group starts immediately and the tail packs around it
 //      (LPT scheduling) instead of pinning one reducer while the rest idle.
+//      `reduce_key(key, first, last)` returns the key's output, which lands
+//      in that key's output slot without a lock.
+//   3. After the pool quiesces, the coordinating thread frees the buffered
+//      packets and merges the partitions' key-ordered slots into the returned
+//      map (MergeOutputSlots).
 //
 // stats->shuffle_wall_ms covers the whole shuffle stage (sorting, run
-// detection, skew accounting), not just the sort. Reduce workers that receive
-// zero runs report no ReduceTaskObs (no misleading 0-duration spans).
+// detection, skew accounting), not just the sort; stats->reduce_wall_ms
+// covers steps 2 and 3. Reduce workers that receive zero runs report no
+// ReduceTaskObs (no misleading 0-duration spans).
 template <typename Key, typename ReduceKeyFn>
-void RunShuffleAndReduce(ShuffleBuffer<Key>&& shuffle, size_t slots,
+auto RunShuffleAndReduce(ShuffleBuffer<Key>&& shuffle, size_t slots,
                          ReduceKeyFn reduce_key, EngineStats* stats,
                          obs::RunObserver* observer = nullptr) {
+  using Packet = ShufflePacket<Key>;
+  using Output =
+      std::invoke_result_t<ReduceKeyFn&, const Key&, const Packet*, const Packet*>;
   const size_t num_parts = shuffle.partition_count();
   const double obs_shuffle_start = observer != nullptr ? observer->NowUs() : 0;
   const auto t_shuffle = std::chrono::steady_clock::now();
@@ -1291,18 +1361,24 @@ void RunShuffleAndReduce(ShuffleBuffer<Key>&& shuffle, size_t slots,
   // runs still sorts its in-memory remainder (the merge needs it ordered)
   // but skips run detection: it dispatches as a single spilled KeyRun.
   std::vector<std::vector<KeyRun>> part_runs(num_parts);
+  std::vector<OutputSlots<Key, Output>> part_outputs(num_parts);
   {
     ThreadPool pool(std::min(slots == 0 ? 1 : slots, num_parts));
     for (size_t part = 0; part < num_parts; ++part) {
-      pool.Submit([part, &shuffle, &part_runs] {
+      pool.Submit([part, &shuffle, &part_runs, &part_outputs] {
         // Merge the sorted runs the producers appended (pipelined handoff)
         // rather than re-sorting from scratch.
         shuffle.SortPartition(part);
-        std::vector<ShufflePacket<Key>>& packets = shuffle.partition(part);
+        std::vector<KeyRun>& runs = part_runs[part];
         if (shuffle.spilled(part)) {
+          KeyRun run;
+          run.partition = static_cast<uint32_t>(part);
+          run.bytes = shuffle.partition_bytes(part);
+          run.spilled = true;
+          runs.push_back(run);
           return;
         }
-        std::vector<KeyRun>& runs = part_runs[part];
+        const std::vector<Packet>& packets = shuffle.partition(part);
         for (size_t i = 0; i < packets.size();) {
           size_t j = i + 1;
           uint64_t run_bytes = PacketBytes(packets[i]);
@@ -1310,9 +1386,11 @@ void RunShuffleAndReduce(ShuffleBuffer<Key>&& shuffle, size_t slots,
             run_bytes += PacketBytes(packets[j]);
             ++j;
           }
-          runs.push_back(KeyRun{static_cast<uint32_t>(part), i, j, run_bytes});
+          runs.push_back(
+              KeyRun{static_cast<uint32_t>(part), i, j, run_bytes, runs.size()});
           i = j;
         }
+        part_outputs[part].resize(runs.size());
       });
     }
     pool.Wait();
@@ -1323,23 +1401,10 @@ void RunShuffleAndReduce(ShuffleBuffer<Key>&& shuffle, size_t slots,
   uint64_t total_bytes = 0;
   uint64_t max_part_bytes = 0;
   for (size_t part = 0; part < num_parts; ++part) {
+    runs.insert(runs.end(), part_runs[part].begin(), part_runs[part].end());
     const uint64_t part_bytes = shuffle.partition_bytes(part);
-    if (shuffle.spilled(part)) {
-      KeyRun run;
-      run.partition = static_cast<uint32_t>(part);
-      run.bytes = part_bytes;
-      run.spilled = true;
-      runs.push_back(run);
-    } else {
-      runs.insert(runs.end(), part_runs[part].begin(), part_runs[part].end());
-    }
     total_bytes += part_bytes;
     max_part_bytes = std::max(max_part_bytes, part_bytes);
-    if (observer != nullptr) {
-      observer->OnShufflePartition(static_cast<uint32_t>(part), part_bytes,
-                                   shuffle.partition(part).size(),
-                                   part_runs[part].size());
-    }
   }
   stats->reduce_partitions = num_parts;
   stats->partition_skew =
@@ -1375,7 +1440,7 @@ void RunShuffleAndReduce(ShuffleBuffer<Key>&& shuffle, size_t slots,
     ThreadPool pool(task_stats.size());
     for (size_t r = 0; r < task_stats.size(); ++r) {
       pool.Submit([r, obs_reduce_start, &next_run, &runs, &shuffle, &reduce_key,
-                   &task_stats, observer, &merge_err_mu, &merge_error] {
+                   &part_outputs, &task_stats, observer, &merge_err_mu, &merge_error] {
         obs::ReduceTaskObs& ts = task_stats[r];
         ts.reducer_id = static_cast<uint32_t>(r);
         if (observer != nullptr) {
@@ -1388,22 +1453,24 @@ void RunShuffleAndReduce(ShuffleBuffer<Key>&& shuffle, size_t slots,
             const double wait = observer->NowUs() - obs_reduce_start;
             ts.queue_wait_us.Record(wait > 0 ? static_cast<uint64_t>(wait) : 0);
           }
+          OutputSlots<Key, Output>& out = part_outputs[run.partition];
           if (run.spilled) {
             // Stream the partition's disk runs merged with its sorted
             // in-memory remainder; each key surfaces exactly once, in the
             // same global order the in-memory path would produce.
             const auto t_merge = std::chrono::steady_clock::now();
-            shuffle.MergePartition(run.partition, [&](const Key& key,
-                                                      const ShufflePacket<Key>* kf,
-                                                      const ShufflePacket<Key>* kl) {
-              reduce_key(key, kf, kl);
+            shuffle.MergePartition(run.partition, [&](const Key& key, const Packet* kf,
+                                                      const Packet* kl) {
+              out.emplace_back(std::in_place, key, reduce_key(key, kf, kl));
               ++ts.groups;
               ts.packets += static_cast<uint64_t>(kl - kf);
             });
             ts.spill_merge_ms += MsSince(t_merge);
           } else {
-            auto* packets = shuffle.partition(run.partition).data();
-            reduce_key(packets[run.first].key, packets + run.first, packets + run.last);
+            const Packet* packets = shuffle.partition(run.partition).data();
+            const Key& key = packets[run.first].key;
+            out[run.slot].emplace(key, reduce_key(key, packets + run.first,
+                                                  packets + run.last));
             ++ts.groups;
             ts.packets += run.last - run.first;
           }
@@ -1432,9 +1499,23 @@ void RunShuffleAndReduce(ShuffleBuffer<Key>&& shuffle, size_t slots,
   if (!merge_error.empty()) {
     throw SympleIoError("reduce stage failed: " + merge_error);
   }
-  stats->reduce_wall_ms = MsSince(t_reduce);
+  if (observer != nullptr) {
+    // A spilled partition's key runs are known only once its merge has
+    // appended their slots, so every partition reports after the reduce.
+    for (size_t part = 0; part < num_parts; ++part) {
+      observer->OnShufflePartition(static_cast<uint32_t>(part),
+                                   shuffle.partition_bytes(part),
+                                   shuffle.partition_packets(part),
+                                   part_outputs[part].size());
+    }
+  }
   stats->spill_runs += shuffle.spill_runs();
   stats->spill_bytes += shuffle.spill_bytes();
+  // Free the packets here, not in the workers: a cross-thread free of every
+  // blob contends in the allocator.
+  shuffle.Release();
+  std::map<Key, Output> outputs = MergeOutputSlots<Key, Output>(std::move(part_outputs));
+  stats->reduce_wall_ms = MsSince(t_reduce);
   for (const obs::ReduceTaskObs& t : task_stats) {
     stats->reduce_cpu_ms += t.cpu_ms;
     stats->groups += t.groups;
@@ -1445,6 +1526,7 @@ void RunShuffleAndReduce(ShuffleBuffer<Key>&& shuffle, size_t slots,
       observer->OnReduceTask(t);
     }
   }
+  return outputs;
 }
 
 // Concrete replay of one deferred segment: re-runs the UDA sequentially over
@@ -1828,17 +1910,14 @@ RunResult<Query> RunPipeline(const Dataset& data, const EngineOptions& options) 
   Executor::RunMap(data, options, body, &budget, &shuffle, &result.stats);
   result.stats.map_wall_ms = MsSince(t0);
 
-  std::mutex out_mu;
   DegradeAccounting degrades;
-  RunShuffleAndReduce<Key>(
+  result.outputs = RunShuffleAndReduce<Key>(
       std::move(shuffle), options.reduce_slots,
-      [&result, &out_mu, &body, &degrades](const Key& key, const Packet* first,
-                                           const Packet* last) {
+      [&body, &degrades](const Key& key, const Packet* first,
+                         const Packet* last) -> typename Query::Output {
         typename Query::State state{};
         body.Reduce(key, first, last, state, &degrades);
-        auto output = Query::Result(state, key);
-        std::lock_guard<std::mutex> lock(out_mu);
-        result.outputs.emplace(key, std::move(output));
+        return Query::Result(state, key);
       },
       &result.stats, options.observer);
   FoldDegrades(degrades, &result.stats, options.observer);

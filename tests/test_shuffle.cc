@@ -6,10 +6,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/memory_budget.h"
 #include "common/rng.h"
 #include "queries/all_queries.h"
 #include "runtime/cost_model.h"
@@ -179,9 +180,29 @@ TEST(ShuffleOrderProperty, PartitionedOrderMatchesGlobalSort) {
   }
 }
 
+using PacketOrder = std::map<int64_t, std::vector<std::pair<uint32_t, uint64_t>>>;
+
+// Reduces `shuffle` with a reduce_key that returns each key's (mapper,
+// record) sequence, so the returned map shows every run's packet order.
+PacketOrder ReduceToPacketOrder(ShuffleBuffer<int64_t>&& shuffle, size_t slots,
+                                EngineStats* stats) {
+  return internal::RunShuffleAndReduce<int64_t>(
+      std::move(shuffle), slots,
+      [](const int64_t&, const ShufflePacket<int64_t>* first,
+         const ShufflePacket<int64_t>* last) {
+        std::vector<std::pair<uint32_t, uint64_t>> run;
+        for (const auto* p = first; p != last; ++p) {
+          run.emplace_back(p->mapper_id, p->record_id);
+        }
+        return run;
+      },
+      stats);
+}
+
 // Drives RunShuffleAndReduce directly: every key must be reduced exactly once
 // with its full ordered run, under several partition/slot shapes, including
-// slots > groups and partitions > groups.
+// slots > groups and partitions > groups, and with a budgeted buffer that
+// reduces spilled and resident partitions into one output.
 TEST(ShuffleSchedule, EverySchedulePreservesRunsAndOrder) {
   SplitMix64 rng(47);
   std::vector<ShufflePacket<int64_t>> packets;
@@ -192,7 +213,7 @@ TEST(ShuffleSchedule, EverySchedulePreservesRunsAndOrder) {
   }
   auto reference = packets;
   std::sort(reference.begin(), reference.end());
-  std::map<int64_t, std::vector<std::pair<uint32_t, uint64_t>>> expected;
+  PacketOrder expected;
   for (const auto& p : reference) {
     expected[p.key].emplace_back(p.mapper_id, p.record_id);
   }
@@ -202,42 +223,77 @@ TEST(ShuffleSchedule, EverySchedulePreservesRunsAndOrder) {
       ShuffleBuffer<int64_t> shuffle(parts);
       auto batch = packets;
       shuffle.AddBatch(std::move(batch));
-      std::mutex mu;
-      std::map<int64_t, std::vector<std::pair<uint32_t, uint64_t>>> actual;
       EngineStats stats;
-      internal::RunShuffleAndReduce<int64_t>(
-          std::move(shuffle), slots,
-          [&mu, &actual](const int64_t& key, const ShufflePacket<int64_t>* first,
-                         const ShufflePacket<int64_t>* last) {
-            std::vector<std::pair<uint32_t, uint64_t>> run;
-            for (const auto* p = first; p != last; ++p) {
-              run.emplace_back(p->mapper_id, p->record_id);
-            }
-            std::lock_guard<std::mutex> lock(mu);
-            auto [it, inserted] = actual.emplace(key, std::move(run));
-            EXPECT_TRUE(inserted) << "key " << key << " reduced twice";
-          },
-          &stats);
-      EXPECT_EQ(actual, expected) << "parts=" << parts << " slots=" << slots;
+      EXPECT_EQ(ReduceToPacketOrder(std::move(shuffle), slots, &stats), expected)
+          << "parts=" << parts << " slots=" << slots;
       EXPECT_EQ(stats.groups, expected.size());
       EXPECT_EQ(stats.reduce_partitions, parts);
       EXPECT_GE(stats.partition_skew, 1.0);
       EXPECT_LE(stats.partition_skew, static_cast<double>(parts) + 1e-9);
     }
   }
+
+  // Heavy blobs on partition 0's keys push it over the budget until it
+  // spills; the light partitions stay under the spill floor and in memory.
+  const size_t mixed_parts = 4;
+  auto heavy = packets;
+  for (auto& p : heavy) {
+    p.blob.assign(ShufflePartitionOf(p.key, mixed_parts) == 0 ? 512 : 0, 0xcd);
+  }
+  for (const size_t slots : {size_t{1}, size_t{3}, size_t{8}}) {
+    MemoryBudget budget(16 * 1024);
+    ShuffleBuffer<int64_t> shuffle(mixed_parts, 0, &budget);
+    auto batch = heavy;
+    shuffle.AddBatch(std::move(batch));
+    size_t resident = 0;
+    for (size_t i = 1; i < mixed_parts; ++i) {
+      resident += !shuffle.spilled(i) && shuffle.partition_packets(i) > 0 ? 1 : 0;
+    }
+    ASSERT_TRUE(shuffle.spilled(0));
+    ASSERT_GT(resident, 0u) << "no resident partition holds packets";
+    EngineStats stats;
+    EXPECT_EQ(ReduceToPacketOrder(std::move(shuffle), slots, &stats), expected)
+        << "spilled + resident, slots=" << slots;
+    EXPECT_EQ(stats.groups, expected.size());
+    EXPECT_GT(stats.spill_runs, 0u);
+  }
 }
 
 TEST(ShuffleSchedule, EmptyShuffleReportsZeroSkew) {
   ShuffleBuffer<int64_t> shuffle(4);
   EngineStats stats;
-  internal::RunShuffleAndReduce<int64_t>(
+  const auto outputs = internal::RunShuffleAndReduce<int64_t>(
       std::move(shuffle), 3,
       [](const int64_t&, const ShufflePacket<int64_t>*,
-         const ShufflePacket<int64_t>*) { FAIL() << "reduce on empty shuffle"; },
+         const ShufflePacket<int64_t>*) {
+        ADD_FAILURE() << "reduce on empty shuffle";
+        return 0;
+      },
       &stats);
+  EXPECT_TRUE(outputs.empty());
   EXPECT_EQ(stats.groups, 0u);
   EXPECT_EQ(stats.reduce_partitions, 4u);
   EXPECT_EQ(stats.partition_skew, 0.0);
+}
+
+// The output merge interleaves partitions by key and rejects a key that
+// arrives twice (from two partitions or twice from one), a partition out of
+// key order, and a slot no reduce worker filled.
+TEST(ShuffleSchedule, OutputMergeRejectsRepeatedKeysAndEmptySlots) {
+  using Slots = internal::OutputSlots<int64_t, int>;
+  const auto merge = [](std::vector<Slots> parts) {
+    return internal::MergeOutputSlots<int64_t, int>(std::move(parts));
+  };
+  const auto slot = [](int64_t key, int value) {
+    return std::optional<std::pair<int64_t, int>>(std::pair(key, value));
+  };
+  const std::map<int64_t, int> merged = {{1, 10}, {2, 20}, {3, 30}, {4, 40}};
+  EXPECT_EQ(merge({{slot(1, 10), slot(4, 40)}, {}, {slot(2, 20), slot(3, 30)}}), merged);
+  EXPECT_TRUE(merge({{}, {}}).empty());
+  EXPECT_THROW(merge({{slot(1, 10)}, {slot(1, 11)}}), SympleError);
+  EXPECT_THROW(merge({{slot(1, 10), slot(1, 11)}}), SympleError);
+  EXPECT_THROW(merge({{slot(2, 20), slot(1, 10)}}), SympleError);
+  EXPECT_THROW(merge({{slot(1, 10), std::nullopt}}), SympleError);
 }
 
 // Empty and single-record datasets end-to-end through the threaded and forked

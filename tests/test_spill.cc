@@ -5,8 +5,9 @@
 // with output byte-identical to the unbudgeted sequential oracle (which
 // never spills), multi-run merge order for order-sensitive queries, budget
 // flushes of groups that degraded at the mapper, every SYMPLE_FAULT_SPEC
-// spill-* mode (retry then graceful in-memory fallback), and zero leaked
-// temp files after injected disk failures. Runs under the asan preset.
+// spill-* mode (retry then graceful in-memory fallback), RunReport shuffle
+// counts that include spilled partitions, and zero leaked temp files after
+// injected disk failures. Runs under the asan preset.
 #include "runtime/spill.h"
 
 #include <dirent.h>
@@ -26,6 +27,9 @@
 #include "common/rng.h"
 #include "common/text.h"
 #include "core/flat_group_map.h"
+#include "obs/metrics.h"
+#include "obs/report.h"
+#include "obs/trace.h"
 #include "queries/all_queries.h"
 #include "queries/text_row.h"
 #include "runtime/engine.h"
@@ -310,6 +314,34 @@ TEST(Spill, InjectedFaultsFollowTheSpec) {
 
 // --- budget-triggered spilling in all five engines --------------------------
 
+// Runs `engine` with a traced observer attached and checks that the
+// RunReport's shuffle histograms count spilled partitions whole, not just
+// their in-memory remainder: partition runs sum to the groups reduced, and
+// partition packets to the packets the reduce tasks consumed.
+template <typename Engine>
+auto RunCheckingShuffleReport(Engine engine, EngineOptions options) {
+  obs::Tracer tracer;
+  obs::RunObserver observer("spill", &tracer);
+  options.observer = &observer;
+  auto result = engine(options);
+  obs::RunReport report;
+  observer.FillReport(&report);
+  EXPECT_EQ(report.shuffle_partition_runs.sum, result.stats.groups);
+  if (obs::Enabled()) {  // reduce_task spans carry the packet counts
+    uint64_t reduced_packets = 0;
+    for (const obs::TraceSpan& span : tracer.Spans()) {
+      for (const auto& [name, value] : span.args) {
+        if (span.name == "reduce_task" && name == "packets") {
+          reduced_packets += value;
+        }
+      }
+    }
+    EXPECT_GT(reduced_packets, 0u);
+    EXPECT_EQ(report.shuffle_partition_packets.sum, reduced_packets);
+  }
+  return result;
+}
+
 TEST(Spill, AllFiveEnginesSpillByteIdenticalToSequential) {
   const Dataset data = SmallGithub();
   const auto ref = RunSequential<G1OnlyPushes>(data);  // unbudgeted reference
@@ -332,22 +364,29 @@ TEST(Spill, AllFiveEnginesSpillByteIdenticalToSequential) {
   EXPECT_GT(single.stats.spill_bytes, 0u);
   EXPECT_EQ(single.stats.groups, ref.stats.groups);
 
-  const auto mr = RunBaselineMapReduce<G1OnlyPushes>(data, budgeted);
+  const auto mr = RunCheckingShuffleReport(
+      [&](const EngineOptions& o) { return RunBaselineMapReduce<G1OnlyPushes>(data, o); },
+      budgeted);
   EXPECT_TRUE(mr.outputs == ref.outputs);
   EXPECT_GT(mr.stats.spill_runs, 0u);
   EXPECT_GT(mr.stats.spill_merge_ms, 0.0);
 
-  const auto sym = RunSymple<G1OnlyPushes>(data, budgeted);
+  const auto sym = RunCheckingShuffleReport(
+      [&](const EngineOptions& o) { return RunSymple<G1OnlyPushes>(data, o); }, budgeted);
   EXPECT_TRUE(sym.outputs == ref.outputs);
   EXPECT_GT(sym.stats.spill_runs, 0u);
 
   EngineOptions forked = budgeted;
   forked.map_slots = 2;
-  const auto sym_forked = RunSympleForked<G1OnlyPushes>(data, forked);
+  const auto sym_forked = RunCheckingShuffleReport(
+      [&](const EngineOptions& o) { return RunSympleForked<G1OnlyPushes>(data, o); },
+      forked);
   EXPECT_TRUE(sym_forked.outputs == ref.outputs);
   EXPECT_GT(sym_forked.stats.spill_runs, 0u);
 
-  const auto mr_forked = RunBaselineForked<G1OnlyPushes>(data, forked);
+  const auto mr_forked = RunCheckingShuffleReport(
+      [&](const EngineOptions& o) { return RunBaselineForked<G1OnlyPushes>(data, o); },
+      forked);
   EXPECT_TRUE(mr_forked.outputs == ref.outputs);
   EXPECT_GT(mr_forked.stats.spill_runs, 0u);
 }
