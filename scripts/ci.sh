@@ -7,8 +7,9 @@
 # the full-size bench gates (bench_groupmap, bench_spill, bench_morsel,
 # bench_shuffle_skew), the bench/e2e smoke, a forked-worker fault smoke
 # (every worker corrupts a frame; both forked engines must still match
-# sequential, with every segment re-executed in-process), and one --explain
-# bottleneck report as a human-readable tail.
+# sequential, with every segment re-executed in-process), the same fault
+# combined with spill-frame faults under a budget that spills, and one
+# --explain bottleneck report as a human-readable tail.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -113,6 +114,34 @@ if [ "$(printf '%s\n' "$fault_out" |
   echo "ci.sh: the fault smoke did not run all 12 segments in-process on both forked engines" >&2
   exit 1
 fi
+
+# --- pipe + spill fault smoke --------------------------------------------------
+# Forked pipes and spill runs share one frame writer and fault hook. Under a
+# budget that spills, the same pipe fault plus a corrupt spill frame on every
+# write: each spill fails its read-back twice and its run is put back in
+# memory, so no spill: line may appear, and both forked engines must still
+# match sequential with all 12 segments in-process. With only the run's first
+# spill frame corrupted, the fresh-file retry succeeds and both engines must
+# print a spill: line, which proves that this budget spills at all.
+spill_fault='corrupt:worker=*:frame=0;spill-corrupt:worker=*:frame='
+for spill_frame in '*' 0; do
+  both_out=$(build/examples/query_cli G1 --records 40000 --engine forked \
+    --memory-budget 256k --fault "$spill_fault$spill_frame")
+  printf '%s\n' "$both_out"
+  in_process=$(printf '%s\n' "$both_out" |
+    grep -c '^  faults: .* 12 segments ran in-process$' || true)
+  spilled=$(printf '%s\n' "$both_out" | grep -c '^  spill:' || true)
+  want_spilled=2
+  if [ "$spill_frame" = '*' ]; then
+    want_spilled=0
+  fi
+  if [ "$in_process" -ne 2 ] || [ "$spilled" -ne "$want_spilled" ]; then
+    echo "ci.sh: pipe + spill fault smoke (spill frame=$spill_frame):" \
+      "$in_process engines ran 12 segments in-process (want 2)," \
+      "$spilled printed a spill: line (want $want_spilled)" >&2
+    exit 1
+  fi
+done
 
 # --- bottleneck report -------------------------------------------------------
 # One skewed shuffle run with --explain so every CI log carries a current

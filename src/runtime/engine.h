@@ -291,9 +291,9 @@ uint64_t PacketBytes(const ShufflePacket<Key>& p) {
 // RowsBody::Feed pre-charges it once per group (docs/spill.md).
 inline constexpr uint64_t kPacketHeaderOverhead = 12;
 
-// Packet wire codec, shared by the forked-engine pipe protocol
-// (process_engine.h) and the spill-file block bodies: packets serialized
-// into either carrier are byte-identical.
+// Packet wire codec, shared by the forked-engine segment frames
+// (process_engine.h) and the spill-run frames: packets serialized into
+// either carrier are byte-identical.
 template <typename Key>
 void SerializePacketFrame(const ShufflePacket<Key>& p, BinaryWriter& w) {
   ValueCodec<Key>::Write(w, p.key);
@@ -409,7 +409,7 @@ class ShuffleBuffer {
                          MemoryBudget* budget = nullptr, std::string spill_dir = {})
       : budget_(budget),
         spill_dir_(std::move(spill_dir)),
-        faults_(SpillFaultFromEnv()),
+        faults_{FaultSpecFromEnv(/*spill=*/true)},
         parts_(num_partitions == 0 ? 1 : num_partitions) {
     const size_t per_part =
         expected_packets > 0
@@ -602,11 +602,11 @@ class ShuffleBuffer {
     std::vector<std::unique_ptr<TempFile>> runs;  // on disk; see spill_mu_
   };
 
-  // Buffered sequential reader over one run file: deserializes a block's
+  // Buffered sequential reader over one run file: deserializes a frame's
   // packets at a time, exposing the head packet for the merge's min-scan.
   class RunCursor {
    public:
-    explicit RunCursor(const std::string& path) : reader_(path) { Refill(); }
+    explicit RunCursor(const std::string& path) : fd_(OpenRun(path)) { Refill(); }
     bool done() const { return done_; }
     Packet& head() { return buf_[pos_]; }
     void Pop() {
@@ -619,24 +619,24 @@ class ShuffleBuffer {
     void Refill() {
       buf_.clear();
       pos_ = 0;
-      uint8_t type = 0;
-      std::vector<uint8_t> body;
+      std::vector<uint8_t> payload;
       while (buf_.empty()) {
-        if (!reader_.NextBlock(&type, &body)) {
+        if (!ReadFrame(fd_.get(), &payload)) {
           done_ = true;
           return;
         }
-        if (type != kSpillBlockPackets) {
-          throw SympleWireError("unexpected spill block type in packet run");
+        uint8_t type = 0;
+        BinaryReader r = ValidateFrame(payload, &type);
+        if (type != kFramePackets) {
+          throw SympleWireError("unexpected frame type in a spill run");
         }
-        BinaryReader r(body.data(), body.size());
         while (!r.AtEnd()) {
           buf_.push_back(DeserializePacketFrame<Key>(r));
         }
       }
     }
 
-    SpillFileReader reader_;
+    UniqueFd fd_;
     std::vector<Packet> buf_;
     size_t pos_ = 0;
     bool done_ = false;
@@ -764,7 +764,7 @@ class ShuffleBuffer {
     return false;
   }
 
-  // One attempt: serialize into ~kSpillBlockTargetBytes blocks, then verify
+  // One attempt: serialize into ~kSpillBlockTargetBytes frames, then verify
   // the whole file by read-back (the spill-corrupt detection point — the
   // packets are still in memory, so a corrupt file costs a retry, never
   // data). Returns false on verification failure; throws SympleIoError on a
@@ -775,20 +775,20 @@ class ShuffleBuffer {
     }
     auto file = std::make_unique<TempFile>(
         dir_->path(), "run-" + std::to_string(file_seq_++) + ".spill");
-    SpillFileWriter writer(file.get(), &faults_);
+    FrameWriter writer(file->fd(), &faults_);
     BinaryWriter body;
     for (const Packet& p : packets) {
       SerializePacketFrame(p, body);
       if (body.size() >= kSpillBlockTargetBytes) {
-        writer.WriteBlock(kSpillBlockPackets, body.buffer());
+        writer.WriteFrame(kFramePackets, body.buffer());
         body.Clear();
       }
     }
     if (body.size() > 0) {
-      writer.WriteBlock(kSpillBlockPackets, body.buffer());
+      writer.WriteFrame(kFramePackets, body.buffer());
     }
     file->CloseFd();
-    if (!VerifySpillFile(file->path(), writer.blocks_written())) {
+    if (!VerifySpillFile(file->path(), writer.frames_written())) {
       return false;
     }
     ++spill_runs_;
@@ -803,7 +803,7 @@ class ShuffleBuffer {
   // spill_broken_, and each partition's runs; post-barrier readers need no
   // lock because the producers have quiesced.
   std::mutex spill_mu_;
-  SpillFaultInjector faults_;
+  FaultInjector faults_;  // spill-* faults, indexed over every run's frames
   // Created on the first spill; declared before parts_ so the run files are
   // unlinked before the directory is swept.
   std::unique_ptr<TempDir> dir_;

@@ -6,8 +6,11 @@
 #include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
+
+#include "serialize/checksum.h"
 
 namespace symple {
 namespace internal {
@@ -28,12 +31,6 @@ ChildProcess& ChildProcess::operator=(ChildProcess&& other) noexcept {
     pid_ = other.Release();
   }
   return *this;
-}
-
-void ChildProcess::Kill(int sig) const {
-  if (pid_ > 0) {
-    ::kill(pid_, sig);
-  }
 }
 
 int ChildProcess::Reap(struct rusage* usage) {
@@ -258,79 +255,85 @@ std::vector<FaultSpec> ParseFaultSpecList(const char* spec) {
   return out;
 }
 
-std::optional<FaultSpec> FaultSpecFromEnv() {
+std::optional<FaultSpec> FaultSpecFromEnv(bool spill) {
   for (const FaultSpec& f : ParseFaultSpecList(std::getenv("SYMPLE_FAULT_SPEC"))) {
-    if (!f.is_spill_mode()) {
+    if (f.is_spill_mode() == spill) {
       return f;
     }
   }
   return std::nullopt;
 }
 
-FrameWriter::FrameWriter(int fd, const std::optional<FaultSpec>& fault,
-                         uint32_t spawn_seq)
-    : fd_(fd) {
-  if (fault.has_value() && (fault->all_workers || fault->worker == spawn_seq)) {
-    fault_ = *fault;
-  }
+namespace {
+
+void PutU32Le(uint32_t v, uint8_t* out) {
+  out[0] = static_cast<uint8_t>(v);
+  out[1] = static_cast<uint8_t>(v >> 8);
+  out[2] = static_cast<uint8_t>(v >> 16);
+  out[3] = static_cast<uint8_t>(v >> 24);
 }
 
-bool FrameWriter::MaybeInjectFault(const uint8_t* header, size_t header_size,
-                                   const uint8_t* payload, size_t payload_size) {
-  if (fault_.mode == FaultSpec::Mode::kNone ||
-      !fault_.MatchesFrame(frames_written_)) {
+uint32_t GetU32Le(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
+
+// The size field at `p`, as both readers parse it.
+uint32_t GetFrameSize(const uint8_t* p) {
+  const uint32_t size = GetU32Le(p);
+  if (size > kMaxFrameBytes) {
+    throw SympleIoError("corrupt frame header (size " + std::to_string(size) + ")");
+  }
+  return size;
+}
+
+}  // namespace
+
+void EncodeFrame(uint8_t type, const std::vector<uint8_t>& body,
+                 std::vector<uint8_t>* frame) {
+  SYMPLE_CHECK(body.size() <= kMaxFrameBytes - (kFrameEnvelopeBytes - 4),
+               "frame body too large");
+  frame->resize(kFrameEnvelopeBytes + body.size());
+  uint8_t* f = frame->data();
+  PutU32Le(static_cast<uint32_t>(frame->size() - 4), f);
+  f[8] = type;
+  f[9] = kWireVersion;
+  std::copy(body.begin(), body.end(), f + kFrameEnvelopeBytes);
+  PutU32Le(Crc32(f + 8, frame->size() - 8), f + 4);
+}
+
+BinaryReader ValidateFrame(const std::vector<uint8_t>& payload, uint8_t* type_out) {
+  constexpr size_t kPayloadEnvelope = kFrameEnvelopeBytes - 4;  // crc + type + version
+  if (payload.size() < kPayloadEnvelope) {
+    throw SympleWireError("frame shorter than its envelope (" +
+                          std::to_string(payload.size()) + " bytes)");
+  }
+  if (GetU32Le(payload.data()) != Crc32(payload.data() + 4, payload.size() - 4)) {
+    throw SympleWireError("frame checksum mismatch");
+  }
+  if (payload[5] != kWireVersion) {
+    throw SympleWireError("frame version " + std::to_string(payload[5]) +
+                          " (expected " + std::to_string(kWireVersion) + ")");
+  }
+  *type_out = payload[4];
+  return BinaryReader(payload.data() + kPayloadEnvelope,
+                      payload.size() - kPayloadEnvelope);
+}
+
+bool ReadFrame(int fd, std::vector<uint8_t>* payload) {
+  uint8_t size_field[4];
+  const IoStatus s = ReadAll(fd, size_field, sizeof(size_field));
+  if (s == IoStatus::kEof) {
     return false;
   }
-  switch (fault_.mode) {
-    case FaultSpec::Mode::kCrash:
-      ::_exit(42);
-    case FaultSpec::Mode::kHang:
-      for (;;) {
-        ::pause();  // until the parent's watchdog delivers SIGKILL
-      }
-    case FaultSpec::Mode::kTruncate: {
-      // Half the frame, then a *clean* exit: the parent must catch the
-      // truncation from the stream itself, not from the exit status.
-      WriteAll(fd_, header, header_size);
-      WriteAll(fd_, payload, payload_size / 2);
-      ::_exit(0);
-    }
-    case FaultSpec::Mode::kCorrupt: {
-      // A well-framed payload with one bit flipped in its last byte (inside
-      // the checksummed region), and the worker keeps running: only the
-      // parent's validation can tell this frame is bad. The parent is
-      // expected to kill this worker once it sees the corruption.
-      WriteAll(fd_, header, header_size);
-      if (payload_size > 0) {
-        std::vector<uint8_t> altered(payload, payload + payload_size);
-        altered.back() ^= 0x01;
-        WriteAll(fd_, altered.data(), altered.size());
-      }
-      return true;
-    }
-    case FaultSpec::Mode::kNone:
-    case FaultSpec::Mode::kSpillEnospc:
-    case FaultSpec::Mode::kSpillShortWrite:
-    case FaultSpec::Mode::kSpillCorrupt:
-      break;  // disk faults; never armed on a pipe writer (FaultSpecFromEnv)
+  if (s != IoStatus::kOk) {
+    throw SympleWireError("frame size field truncated");
   }
-  return false;
-}
-
-void FrameWriter::WriteFrame(const uint8_t* payload, size_t size) {
-  SYMPLE_CHECK(size <= FrameDecoder::kMaxFrameBytes, "frame payload too large");
-  uint8_t header[4];
-  const uint32_t size32 = static_cast<uint32_t>(size);
-  std::memcpy(header, &size32, sizeof(size32));
-  const bool handled = MaybeInjectFault(header, sizeof(header), payload, size);
-  ++frames_written_;
-  if (handled) {
-    return;
+  payload->resize(GetFrameSize(size_field));
+  if (ReadAll(fd, payload->data(), payload->size()) != IoStatus::kOk) {
+    throw SympleWireError("frame truncated");
   }
-  if (!WriteAll(fd_, header, sizeof(header)) || !WriteAll(fd_, payload, size)) {
-    throw SympleIoError(std::string("pipe write failed in worker: ") +
-                        std::strerror(errno));
-  }
+  return true;
 }
 
 void FrameDecoder::Feed(const uint8_t* data, size_t size) {
@@ -346,12 +349,7 @@ bool FrameDecoder::Next(std::vector<uint8_t>* payload) {
   if (buf_.size() - pos_ < sizeof(uint32_t)) {
     return false;
   }
-  uint32_t size = 0;
-  std::memcpy(&size, buf_.data() + pos_, sizeof(size));
-  if (size > kMaxFrameBytes) {
-    throw SympleIoError("corrupt frame header from worker (size " +
-                        std::to_string(size) + ")");
-  }
+  const uint32_t size = GetFrameSize(buf_.data() + pos_);
   if (buf_.size() - pos_ - sizeof(uint32_t) < size) {
     return false;
   }
@@ -359,6 +357,48 @@ bool FrameDecoder::Next(std::vector<uint8_t>* payload) {
   payload->assign(begin, begin + size);
   pos_ += sizeof(uint32_t) + size;
   return true;
+}
+
+void FrameWriter::WriteFrame(uint8_t type, const std::vector<uint8_t>& body) {
+  EncodeFrame(type, body, &frame_);
+  FaultSpec::Mode fault = FaultSpec::Mode::kNone;
+  if (faults_ != nullptr) {
+    const uint64_t index = faults_->frames++;
+    if (faults_->spec.has_value() && faults_->spec->MatchesFrame(index)) {
+      fault = faults_->spec->mode;
+    }
+  }
+  switch (fault) {
+    case FaultSpec::Mode::kCrash:
+      ::_exit(42);
+    case FaultSpec::Mode::kHang:
+      for (;;) {
+        ::pause();  // until the parent's watchdog delivers SIGKILL
+      }
+    case FaultSpec::Mode::kTruncate:
+      // Half the frame, then a *clean* exit: the parent must catch the
+      // truncation from the stream itself, not from the exit status.
+      WriteAll(fd_, frame_.data(), frame_.size() / 2);
+      ::_exit(0);
+    case FaultSpec::Mode::kSpillEnospc:
+      throw SympleIoError("frame write failed: No space left on device (injected)");
+    case FaultSpec::Mode::kSpillShortWrite:
+      WriteAll(fd_, frame_.data(), frame_.size() / 2);
+      throw SympleIoError("frame write failed: short write (injected)");
+    case FaultSpec::Mode::kCorrupt:
+    case FaultSpec::Mode::kSpillCorrupt:
+      // One bit flipped inside the checksummed region, and the write
+      // succeeds: only the reader's validation can tell this frame is bad.
+      frame_.back() ^= 0x01;
+      break;
+    case FaultSpec::Mode::kNone:
+      break;
+  }
+  if (!WriteAll(fd_, frame_.data(), frame_.size())) {
+    throw SympleIoError(std::string("frame write failed: ") + std::strerror(errno));
+  }
+  ++frames_written_;
+  bytes_written_ += frame_.size();
 }
 
 }  // namespace internal

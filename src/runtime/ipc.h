@@ -1,13 +1,16 @@
-// IPC primitives for the forked-process engine: RAII ownership of file
-// descriptors and child processes, EINTR-safe pipe I/O that distinguishes EOF
-// from error, a length-prefixed frame codec usable both blocking (worker
-// side) and incrementally (parent side, fed from a poll() loop), and the
-// fault-injection hook that makes the failure-recovery paths testable.
+// IPC primitives for the forked-process engine and the spill files: RAII
+// ownership of file descriptors and child processes, EINTR-safe pipe I/O that
+// distinguishes EOF from error, the one checksummed frame format both carriers
+// use — written by FrameWriter, read blocking (ReadFrame, spill runs) or
+// incrementally (FrameDecoder, the parent's poll() loop) and checked by
+// ValidateFrame — and the fault-injection hook that makes the
+// failure-recovery paths testable.
 //
 // Everything here is transport machinery with no knowledge of shuffle
-// packets or queries; the framing of *what* crosses the pipe lives in
-// process_engine.h. Failures surface as SympleIoError (recoverable by
-// re-execution, see common/error.h), never as leaked fds or zombie children.
+// packets or queries; the bodies of *what* crosses the pipe live in
+// process_engine.h and engine.h. Failures surface as SympleIoError
+// (recoverable by re-execution, see common/error.h), never as leaked fds or
+// zombie children.
 #ifndef SYMPLE_RUNTIME_IPC_H_
 #define SYMPLE_RUNTIME_IPC_H_
 
@@ -24,6 +27,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "serialize/binary_io.h"
 
 namespace symple {
 namespace internal {
@@ -79,13 +83,12 @@ class ChildProcess {
     return pid;
   }
 
-  void Kill(int sig) const;
   // Blocking wait4 (EINTR-retrying); returns the raw wait status and releases
   // ownership. When `usage` is non-null it receives the child's rusage (CPU
   // time, maxrss, faults) — the per-worker resource profile the run analyzer
   // folds into MapTaskObs. Throws SympleIoError if wait4 fails.
   int Reap(struct rusage* usage = nullptr);
-  // Kill(SIGKILL) + Reap, ignoring errors. Safe on an invalid handle.
+  // SIGKILL + Reap, ignoring errors. Safe on an invalid handle.
   void KillAndReap();
 
  private:
@@ -122,6 +125,61 @@ int PollWithDeadline(struct pollfd* fds, size_t nfds,
                      const std::optional<std::chrono::steady_clock::time_point>&
                          deadline);
 
+// --- Frames --------------------------------------------------------------------
+//
+// Forked workers' pipes and spill run files carry one frame format:
+//
+//   [u32 LE size][u32 LE crc32][u8 type][u8 version][body]
+//
+// `size` counts every byte after itself, and the CRC-32 covers type, version
+// and body, so a single flipped bit anywhere after the size field fails
+// ValidateFrame. A corrupt size shows up as an implausible size, a frame cut
+// short, or a misaligned next frame. Both readers hand back a frame's payload
+// — the bytes after its size field — for ValidateFrame to check.
+enum FrameType : uint8_t {
+  kFrameSegment = 1,    // a forked worker's segment (process_engine.h)
+  kFrameStreamEnd = 2,  // a forked worker has no more segments
+  kFramePackets = 3,    // a block of one spill run's sorted packets (engine.h)
+};
+
+// Bumped whenever the envelope or any body layout changes. A version
+// mismatch is indistinguishable from corruption to a reader and is handled
+// the same way, never by guessing the old layout.
+inline constexpr uint8_t kWireVersion = 5;
+inline constexpr size_t kFrameEnvelopeBytes = 10;  // size + crc + type + version
+// A size field above this is stream corruption.
+inline constexpr uint32_t kMaxFrameBytes = 1u << 30;
+
+// Encodes one frame of `type` around `body` into *frame, replacing its
+// contents.
+void EncodeFrame(uint8_t type, const std::vector<uint8_t>& body,
+                 std::vector<uint8_t>* frame);
+
+// Checks a frame payload's checksum and version and returns a reader over its
+// body, storing the frame type in *type_out. Throws SympleWireError on a
+// payload shorter than its envelope, a checksum mismatch or a version
+// mismatch.
+BinaryReader ValidateFrame(const std::vector<uint8_t>& payload, uint8_t* type_out);
+
+// Blocking read of the next frame's payload from `fd`; false at a clean EOF
+// before the frame's first byte. Throws SympleWireError when the stream ends
+// or a read fails mid-frame, and SympleIoError on a size above kMaxFrameBytes.
+bool ReadFrame(int fd, std::vector<uint8_t>* payload);
+
+// Incremental reader for the parent's poll() loop: Feed() raw bytes as they
+// arrive, and Next() pops the next complete frame's payload or returns false
+// until more bytes arrive, so a stream cut mid-frame yields no frame. Throws
+// SympleIoError on a size above kMaxFrameBytes.
+class FrameDecoder {
+ public:
+  void Feed(const uint8_t* data, size_t size);
+  bool Next(std::vector<uint8_t>* payload);
+
+ private:
+  std::vector<uint8_t> buf_;
+  size_t pos_ = 0;  // consumed prefix of buf_
+};
+
 // --- Fault injection ---------------------------------------------------------
 //
 // SYMPLE_FAULT_SPEC selects deterministic faults; one or more specs joined
@@ -130,13 +188,13 @@ int PollWithDeadline(struct pollfd* fds, size_t nfds,
 //   <mode>:worker=<n|*>:frame=<k|*>
 //
 // where <mode> is crash | hang | truncate | corrupt (pipe faults, injected
-// by forked workers' FrameWriter) or spill-enospc | spill-short-write |
-// spill-corrupt (disk faults, injected by the spill writer — runtime/spill.h),
+// into forked workers' segment frames) or spill-enospc | spill-short-write |
+// spill-corrupt (disk faults, injected into spill run frames — docs/spill.md),
 // <n> is the worker's spawn sequence number within the run (`*` matches
 // every spawn, including retry respawns; spill faults ignore the worker
-// field), and <k> is the 0-based index of the frame — pipe frame for pipe
-// faults, spill block write for spill faults — that triggers the fault
-// (`*` = every frame).
+// field), and <k> is the 0-based index of the frame that triggers the fault
+// (`*` = every frame). `frame` counts the frames written through one
+// FaultInjector: per spawn for pipe faults, per run for spill faults.
 //
 // A forked worker writes one frame per segment it owns, in order, then one
 // stream-end frame (runtime/process_engine.h), so a pipe fault's frame=k
@@ -147,14 +205,14 @@ int PollWithDeadline(struct pollfd* fds, size_t nfds,
 // Pipe faults: crash: _exit(42) before writing the frame; hang: block
 // forever (the parent's worker_timeout_ms watchdog must fire); truncate:
 // write half the frame, then _exit(0) — a silently truncated stream with a
-// clean exit status; corrupt: write the frame with one bit flipped in the
-// last payload byte and keep running — the parent's checksum validation
-// must catch it, kill the worker and re-execute its uncommitted segments.
+// clean exit status; corrupt: write the frame with one bit flipped in its
+// last byte and keep running — the parent's checksum validation must catch
+// it, kill the worker and re-execute its uncommitted segments.
 //
-// Spill faults (docs/spill.md): spill-enospc: the block write fails with
-// ENOSPC; spill-short-write: half the block is written, then the write
-// fails; spill-corrupt: the block is written with one bit flipped (caught
-// by the spill writer's post-write checksum verification). A failed spill
+// Spill faults: spill-enospc: the frame write fails with ENOSPC before any
+// byte lands; spill-short-write: half the frame is written, then the write
+// fails; spill-corrupt: the frame is written with one bit flipped in its last
+// byte (caught by the spill's read-back verification). A failed spill
 // retries once on a fresh file, then the packets stay in memory and the run
 // continues over budget — it never crashes.
 struct FaultSpec {
@@ -188,52 +246,37 @@ struct FaultSpec {
 std::optional<FaultSpec> ParseFaultSpec(const char* spec);
 // Parses a ';'-joined spec list (empty for null/empty input).
 std::vector<FaultSpec> ParseFaultSpecList(const char* spec);
-// Reads SYMPLE_FAULT_SPEC from the environment and returns the first
-// *pipe-mode* spec (crash/hang/truncate/corrupt) — the FrameWriter hook.
-// Spill faults are picked up separately by SpillFaultFromEnv (spill.h).
-std::optional<FaultSpec> FaultSpecFromEnv();
+// The first spec in SYMPLE_FAULT_SPEC of the chosen carrier: a spill-* spec
+// when `spill` is set, else a pipe spec (crash/hang/truncate/corrupt).
+std::optional<FaultSpec> FaultSpecFromEnv(bool spill);
 
-// Worker-side frame writer: [u32 LE size][payload], with the fault hook
-// applied per frame. Throws SympleIoError on write failure.
-class FrameWriter {
- public:
-  FrameWriter(int fd, const std::optional<FaultSpec>& fault, uint32_t spawn_seq);
-  void WriteFrame(const uint8_t* payload, size_t size);
-  void WriteFrame(const std::vector<uint8_t>& payload) {
-    WriteFrame(payload.data(), payload.size());
-  }
-
- private:
-  // May _exit or block forever instead of returning. Returns true when the
-  // fault already wrote this frame in altered form (kCorrupt), in which case
-  // the caller must skip the normal write.
-  bool MaybeInjectFault(const uint8_t* header, size_t header_size,
-                        const uint8_t* payload, size_t payload_size);
-
-  int fd_;
-  FaultSpec fault_;  // Mode::kNone when not armed for this worker
-  uint64_t frames_written_ = 0;
+// One carrier's fault hook: the armed spec, if any, and the count of frames
+// written through it, which the spec's `frame` field indexes.
+struct FaultInjector {
+  std::optional<FaultSpec> spec;
+  uint64_t frames = 0;
 };
 
-// Parent-side incremental decoder for the same [u32 size][payload] framing.
-// Feed() raw bytes as they arrive from poll(); Next() pops complete frames.
-// Throws SympleIoError on an implausible frame size (corrupt stream).
-class FrameDecoder {
+// Writes frames to `fd`, one write() each, and applies the injector's fault
+// when it is armed for the frame being written: a pipe fault may _exit or
+// block forever instead of returning. Throws SympleIoError when a write
+// fails, for real or by injection.
+class FrameWriter {
  public:
-  // Frames beyond this are treated as stream corruption.
-  static constexpr uint32_t kMaxFrameBytes = 1u << 30;
+  // `faults` may be null (no injection); it must outlive the writer.
+  FrameWriter(int fd, FaultInjector* faults) : fd_(fd), faults_(faults) {}
 
-  void Feed(const uint8_t* data, size_t size);
-  // Pops the next complete frame into *payload; false if more bytes are
-  // needed first.
-  bool Next(std::vector<uint8_t>* payload);
-  // True when buffered bytes form an incomplete frame — at EOF this means the
-  // stream was truncated mid-frame.
-  bool HasPartialFrame() const { return pos_ < buf_.size(); }
+  void WriteFrame(uint8_t type, const std::vector<uint8_t>& body);
+
+  uint64_t frames_written() const { return frames_written_; }
+  uint64_t bytes_written() const { return bytes_written_; }
 
  private:
-  std::vector<uint8_t> buf_;
-  size_t pos_ = 0;  // consumed prefix of buf_
+  int fd_;
+  FaultInjector* faults_;
+  std::vector<uint8_t> frame_;  // reused encode buffer
+  uint64_t frames_written_ = 0;
+  uint64_t bytes_written_ = 0;
 };
 
 }  // namespace internal

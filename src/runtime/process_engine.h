@@ -23,14 +23,14 @@
 // for lost map output, whatever the map body. Fd and child ownership is RAII
 // (runtime/ipc.h): no error path leaks descriptors or zombie children.
 //
-// Wire protocol: a stream of [u32 LE size][payload] frames. Every payload is
-// a checksummed, versioned envelope
+// Wire protocol: a stream of the checksummed, versioned frames that spill
+// files also use (runtime/ipc.h, kWireVersion 5)
 //
-//   [u32 LE crc][u8 type][u8 version = 4][body]
+//   [u32 LE size][u32 LE crc][u8 type][u8 version][body]
 //
-// where the CRC-32 covers everything after the crc field (type, version and
-// body), so a single flipped bit anywhere in the payload fails validation.
-// A worker writes one kFrameSegment per segment, then one kFrameStreamEnd:
+// where the CRC-32 covers type, version and body, so a single flipped bit
+// anywhere after the size field fails validation. A worker writes one
+// kFrameSegment per segment, then one kFrameStreamEnd:
 //
 //   kFrameSegment   body = [varint segment_id][segment counters]
 //                          [varint packet_count][serialized ShufflePacket]*
@@ -40,8 +40,8 @@
 // (VisitSegmentCounters), folded into the run's EngineStats when the parent
 // commits the segment's packets.
 //
-// A frame that fails envelope validation (short, bad checksum, wrong
-// version) is a "corrupt" worker failure, counted in wire_corrupt_frames and
+// A frame that fails ValidateFrame (short, bad checksum, wrong version) is
+// a "corrupt" worker failure, counted in wire_corrupt_frames and
 // recovered like a crash: nothing from that pipe is trusted, and the
 // worker's uncommitted segments are re-executed. A segment body that does not
 // decode inside a valid envelope is a "protocol" failure, recovered the same
@@ -73,68 +73,12 @@
 #include "common/error.h"
 #include "runtime/engine.h"
 #include "runtime/ipc.h"
-#include "serialize/checksum.h"
 
 namespace symple {
 namespace internal {
 
-enum ForkedFrameType : uint8_t {
-  kFrameSegment = 1,
-  kFrameStreamEnd = 2,
-};
-
-// Bumped whenever the frame envelope or any body layout changes; a version
-// mismatch is indistinguishable from corruption to the parent and handled
-// the same way (kill + retry), never by guessing the old layout.
-inline constexpr uint8_t kForkedWireVersion = 4;
-
-// Frame payloads shorter than the envelope cannot carry a checksum.
-inline constexpr size_t kFrameEnvelopeBytes = 6;  // crc(4) + type + version
-
 // Sleep before respawning a failed worker lineage, doubled per attempt.
 inline constexpr long kWorkerRetryBackoffMs = 5;
-
-// Assembles [u32 LE crc][type][version][body] into `payload` (cleared first).
-inline void BuildWorkerFrame(uint8_t type, const BinaryWriter& body,
-                             BinaryWriter* payload) {
-  const uint8_t head[2] = {type, kForkedWireVersion};
-  uint32_t crc = Crc32(head, sizeof(head));
-  crc = Crc32Extend(crc, body.buffer().data(), body.size());
-  payload->Clear();
-  for (int shift = 0; shift < 32; shift += 8) {
-    payload->WriteByte(static_cast<uint8_t>(crc >> shift));
-  }
-  payload->WriteByte(type);
-  payload->WriteByte(kForkedWireVersion);
-  payload->WriteBytes(body.buffer().data(), body.size());
-}
-
-// Validates one decoded frame's envelope and returns a reader positioned at
-// the body, storing the frame type in *type_out. Throws SympleWireError on a
-// short frame, checksum mismatch, or version mismatch — the caller treats
-// any of these as a corrupt worker stream.
-inline BinaryReader ValidateWorkerFrame(const std::vector<uint8_t>& frame,
-                                        uint8_t* type_out) {
-  if (frame.size() < kFrameEnvelopeBytes) {
-    throw SympleWireError("worker frame shorter than its envelope (" +
-                          std::to_string(frame.size()) + " bytes)");
-  }
-  uint32_t stored = 0;
-  for (int i = 3; i >= 0; --i) {
-    stored = (stored << 8) | frame[static_cast<size_t>(i)];
-  }
-  const uint32_t actual = Crc32(frame.data() + 4, frame.size() - 4);
-  if (stored != actual) {
-    throw SympleWireError("worker frame checksum mismatch");
-  }
-  if (frame[5] != kForkedWireVersion) {
-    throw SympleWireError("worker frame version " + std::to_string(frame[5]) +
-                          " (expected " + std::to_string(kForkedWireVersion) + ")");
-  }
-  *type_out = frame[4];
-  return BinaryReader(frame.data() + kFrameEnvelopeBytes,
-                      frame.size() - kFrameEnvelopeBytes);
-}
 
 // The counters a kFrameSegment body carries after the segment id, in wire
 // order: records, parsed, cpu_ms (the only double), summaries, summary_paths,
@@ -163,7 +107,7 @@ void VisitSegmentCounters(Task& t, Visit&& visit) {
 }
 
 // Writes a kFrameSegment body: [varint segment_id][counters][varint
-// packet_count], then the packets in the codec the spill blocks also use
+// packet_count], then the packets in the codec the spill runs also use
 // (SerializePacketFrame, runtime/engine.h).
 template <typename Key>
 void EncodeSegment(uint32_t segment_id, const obs::MapTaskObs& t,
@@ -241,7 +185,7 @@ void RunForkedMapPhase(const Dataset& data, const EngineOptions& options,
   using Clock = std::chrono::steady_clock;
   obs::RunObserver* observer = options.observer;
   const size_t num_processes = options.map_slots == 0 ? 1 : options.map_slots;
-  const std::optional<FaultSpec> fault = FaultSpecFromEnv();
+  const std::optional<FaultSpec> fault = FaultSpecFromEnv(/*spill=*/false);
 
   struct WorkerState {
     ChildProcess child;
@@ -289,9 +233,12 @@ void RunForkedMapPhase(const Dataset& data, const EngineOptions& options,
       ::signal(SIGPIPE, SIG_IGN);  // broken pipe surfaces as EPIPE, not death
       int exit_code = 0;
       try {
-        FrameWriter writer(write_end.get(), fault, w->spawn_seq);
+        FaultInjector faults;
+        if (fault.has_value() && (fault->all_workers || fault->worker == w->spawn_seq)) {
+          faults.spec = fault;
+        }
+        FrameWriter writer(write_end.get(), &faults);
         BinaryWriter frame_body;
-        BinaryWriter payload;
         for (const uint32_t s : w->pending) {
           // The segment's CPU covers its map task, not the encoding of the
           // frame that ships it.
@@ -303,12 +250,9 @@ void RunForkedMapPhase(const Dataset& data, const EngineOptions& options,
           task.cpu_ms = ThreadCpuMs() - cpu0;
           frame_body.Clear();
           EncodeSegment(s, task, packets, &frame_body);
-          BuildWorkerFrame(kFrameSegment, frame_body, &payload);
-          writer.WriteFrame(payload.buffer());
+          writer.WriteFrame(kFrameSegment, frame_body.buffer());
         }
-        frame_body.Clear();
-        BuildWorkerFrame(kFrameStreamEnd, frame_body, &payload);
-        writer.WriteFrame(payload.buffer());
+        writer.WriteFrame(kFrameStreamEnd, {});
       } catch (...) {
         exit_code = 1;  // parent recovers via the missing stream-end marker
       }
@@ -346,7 +290,7 @@ void RunForkedMapPhase(const Dataset& data, const EngineOptions& options,
     std::vector<uint8_t> frame;
     while (w.decoder.Next(&frame)) {
       uint8_t type = 0;
-      BinaryReader r = ValidateWorkerFrame(frame, &type);
+      BinaryReader r = ValidateFrame(frame, &type);
       if (type == kFrameSegment) {
         commit_segment(w, r);
       } else if (type == kFrameStreamEnd) {
@@ -483,7 +427,7 @@ void RunForkedMapPhase(const Dataset& data, const EngineOptions& options,
             w.decoder.Feed(read_buf.data(), n);
             process_frames(w);
           } catch (const SympleWireError&) {
-            // Envelope validation failed (checksum/version/short frame): the
+            // ValidateFrame failed (checksum/version/short frame): the
             // stream carried bytes the worker never meant to send, so none
             // of its uncommitted output is trusted.
             ++stats->wire_corrupt_frames;

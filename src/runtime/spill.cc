@@ -9,19 +9,8 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "serialize/checksum.h"
-
 namespace symple {
 namespace internal {
-
-std::optional<FaultSpec> SpillFaultFromEnv() {
-  for (const FaultSpec& f : ParseFaultSpecList(std::getenv("SYMPLE_FAULT_SPEC"))) {
-    if (f.is_spill_mode()) {
-      return f;
-    }
-  }
-  return std::nullopt;
-}
 
 TempFile::TempFile(const std::string& dir, const std::string& name)
     : path_(dir + "/" + name) {
@@ -82,109 +71,26 @@ TempDir::~TempDir() {
   ::rmdir(path_.c_str());
 }
 
-namespace {
-
-void PutU32Le(uint32_t v, uint8_t* out) {
-  out[0] = static_cast<uint8_t>(v);
-  out[1] = static_cast<uint8_t>(v >> 8);
-  out[2] = static_cast<uint8_t>(v >> 16);
-  out[3] = static_cast<uint8_t>(v >> 24);
-}
-
-uint32_t GetU32Le(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
-         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
-}
-
-}  // namespace
-
-void SpillFileWriter::WriteBlock(uint8_t type, const std::vector<uint8_t>& body) {
-  SYMPLE_CHECK(body.size() <= kMaxSpillBlockBytes, "spill block too large");
-  // One contiguous buffer per block: header + body, so a block is one
-  // write(2) and the injector's byte arithmetic is exact.
-  std::vector<uint8_t> block(kSpillEnvelopeBytes + body.size());
-  const uint32_t size =
-      static_cast<uint32_t>(body.size()) + 2;  // type + version + body
-  PutU32Le(size, block.data());
-  block[8] = type;
-  block[9] = kSpillWireVersion;
-  std::memcpy(block.data() + kSpillEnvelopeBytes, body.data(), body.size());
-  const uint32_t crc = Crc32(block.data() + 8, block.size() - 8);
-  PutU32Le(crc, block.data() + 4);
-
-  const SpillFaultInjector::Action action =
-      faults_ != nullptr ? faults_->Next() : SpillFaultInjector::Action::kNone;
-  switch (action) {
-    case SpillFaultInjector::Action::kEnospc:
-      throw SympleIoError("spill write failed: No space left on device "
-                          "(injected)");
-    case SpillFaultInjector::Action::kShortWrite:
-      WriteAll(file_->fd(), block.data(), block.size() / 2);
-      throw SympleIoError("spill write failed: short write (injected)");
-    case SpillFaultInjector::Action::kCorrupt:
-      // Flip one bit inside the checksummed region; the write itself
-      // succeeds, so only the post-write verification can notice.
-      block.back() ^= 0x01;
-      break;
-    case SpillFaultInjector::Action::kNone:
-      break;
-  }
-  if (!WriteAll(file_->fd(), block.data(), block.size())) {
-    throw SympleIoError(std::string("spill write failed: ") +
-                        std::strerror(errno));
-  }
-  bytes_written_ += block.size();
-  ++blocks_written_;
-}
-
-SpillFileReader::SpillFileReader(const std::string& path) : path_(path) {
+UniqueFd OpenRun(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
     throw SympleIoError("spill file open failed (" + path +
                         "): " + std::strerror(errno));
   }
-  fd_.Reset(fd);
+  return UniqueFd(fd);
 }
 
-bool SpillFileReader::NextBlock(uint8_t* type, std::vector<uint8_t>* body) {
-  uint8_t header[kSpillEnvelopeBytes];
-  const IoStatus hs = ReadAll(fd_.get(), header, sizeof(header));
-  if (hs == IoStatus::kEof) {
-    return false;  // clean end of file
-  }
-  if (hs != IoStatus::kOk) {
-    throw SympleWireError("spill block header truncated in " + path_);
-  }
-  const uint32_t size = GetU32Le(header);
-  if (size < 2 || size > kMaxSpillBlockBytes) {
-    throw SympleWireError("corrupt spill block size in " + path_);
-  }
-  body->resize(size - 2);
-  if (ReadAll(fd_.get(), body->data(), body->size()) != IoStatus::kOk) {
-    throw SympleWireError("spill block body truncated in " + path_);
-  }
-  uint32_t crc = Crc32(header + 8, 2);
-  crc = Crc32Extend(crc, body->data(), body->size());
-  if (crc != GetU32Le(header + 4)) {
-    throw SympleWireError("spill block checksum mismatch in " + path_);
-  }
-  if (header[9] != kSpillWireVersion) {
-    throw SympleWireError("spill block version mismatch in " + path_);
-  }
-  *type = header[8];
-  return true;
-}
-
-bool VerifySpillFile(const std::string& path, uint64_t expect_blocks) {
+bool VerifySpillFile(const std::string& path, uint64_t expect_frames) {
   try {
-    SpillFileReader reader(path);
+    const UniqueFd fd = OpenRun(path);
+    std::vector<uint8_t> payload;
     uint8_t type = 0;
-    std::vector<uint8_t> body;
-    uint64_t blocks = 0;
-    while (reader.NextBlock(&type, &body)) {
-      ++blocks;
+    uint64_t frames = 0;
+    while (ReadFrame(fd.get(), &payload)) {
+      ValidateFrame(payload, &type);
+      ++frames;
     }
-    return blocks == expect_blocks;
+    return frames == expect_frames;
   } catch (const SympleError&) {
     return false;
   }

@@ -1,7 +1,8 @@
 // Memory-budgeted execution and spill-to-disk tests (docs/spill.md): the
 // budget tracker and its watermark, Arena::Reset chunk release, RAII temp
-// file/dir cleanup including the throw path, the checksummed spill block
-// format, budget-triggered spilling in the four map/shuffle/reduce engines
+// file/dir cleanup including the throw path, spill runs in the checksummed
+// frame format the forked pipes share (runtime/ipc.h) and every truncation
+// of one, budget-triggered spilling in the four map/shuffle/reduce engines
 // with output byte-identical to the unbudgeted sequential oracle (which
 // never spills), multi-run merge order for order-sensitive queries, budget
 // flushes of groups that degraded at the mapper, every SYMPLE_FAULT_SPEC
@@ -251,64 +252,95 @@ TEST(Spill, TempFileCreateFailureThrowsIoError) {
                SympleIoError);
 }
 
-// --- spill block format -----------------------------------------------------
+// --- spill run format -------------------------------------------------------
+
+// Reads the frame payloads of a run file back with ReadFrame.
+std::vector<std::vector<uint8_t>> ReadRun(const std::string& path) {
+  const internal::UniqueFd fd = internal::OpenRun(path);
+  std::vector<std::vector<uint8_t>> payloads;
+  std::vector<uint8_t> payload;
+  while (internal::ReadFrame(fd.get(), &payload)) {
+    payloads.push_back(payload);
+  }
+  return payloads;
+}
 
 TEST(Spill, WriterReaderRoundTrip) {
   internal::TempDir dir("");
   internal::TempFile file(dir.path(), "run-0.spill");
-  internal::SpillFileWriter writer(&file, nullptr);
+  internal::FrameWriter writer(file.fd(), nullptr);
   const std::vector<uint8_t> a = {1, 2, 3};
   const std::vector<uint8_t> b(1000, 0xAB);
-  writer.WriteBlock(internal::kSpillBlockPackets, a);
-  writer.WriteBlock(internal::kSpillBlockPackets, b);
-  EXPECT_EQ(writer.blocks_written(), 2u);
+  writer.WriteFrame(internal::kFramePackets, a);
+  writer.WriteFrame(internal::kFramePackets, b);
+  EXPECT_EQ(writer.frames_written(), 2u);
+  EXPECT_EQ(writer.bytes_written(),
+            a.size() + b.size() + 2 * internal::kFrameEnvelopeBytes);
   EXPECT_TRUE(internal::VerifySpillFile(file.path(), 2));
   EXPECT_FALSE(internal::VerifySpillFile(file.path(), 3));  // count cross-check
 
-  internal::SpillFileReader reader(file.path());
+  const std::vector<std::vector<uint8_t>> payloads = ReadRun(file.path());
+  ASSERT_EQ(payloads.size(), 2u);  // then a clean EOF
   uint8_t type = 0;
-  std::vector<uint8_t> body;
-  ASSERT_TRUE(reader.NextBlock(&type, &body));
-  EXPECT_EQ(type, internal::kSpillBlockPackets);
+  BinaryReader r = internal::ValidateFrame(payloads[0], &type);
+  EXPECT_EQ(type, internal::kFramePackets);
+  std::vector<uint8_t> body(r.remaining());
+  r.ReadBytes(body.data(), body.size());
   EXPECT_EQ(body, a);
-  ASSERT_TRUE(reader.NextBlock(&type, &body));
-  EXPECT_EQ(type, internal::kSpillBlockPackets);
+  r = internal::ValidateFrame(payloads[1], &type);
+  EXPECT_EQ(type, internal::kFramePackets);
+  body.resize(r.remaining());
+  r.ReadBytes(body.data(), body.size());
   EXPECT_EQ(body, b);
-  EXPECT_FALSE(reader.NextBlock(&type, &body));  // clean EOF
 }
 
 TEST(Spill, ReaderDetectsOnDiskCorruption) {
   internal::TempDir dir("");
   internal::TempFile file(dir.path(), "run-0.spill");
-  internal::SpillFileWriter writer(&file, nullptr);
-  writer.WriteBlock(internal::kSpillBlockPackets, std::vector<uint8_t>(64, 7));
+  internal::FrameWriter writer(file.fd(), nullptr);
+  writer.WriteFrame(internal::kFramePackets, std::vector<uint8_t>(64, 7));
 
   // Flip one payload bit behind the writer's back.
   uint8_t byte = 0;
-  const off_t victim = static_cast<off_t>(internal::kSpillEnvelopeBytes) + 5;
+  const off_t victim = static_cast<off_t>(internal::kFrameEnvelopeBytes) + 5;
   ASSERT_EQ(::pread(file.fd(), &byte, 1, victim), 1);
   byte ^= 0x10;
   ASSERT_EQ(::pwrite(file.fd(), &byte, 1, victim), 1);
 
   EXPECT_FALSE(internal::VerifySpillFile(file.path(), 1));
-  internal::SpillFileReader reader(file.path());
+  const std::vector<std::vector<uint8_t>> payloads = ReadRun(file.path());
+  ASSERT_EQ(payloads.size(), 1u);
   uint8_t type = 0;
-  std::vector<uint8_t> body;
-  EXPECT_THROW(reader.NextBlock(&type, &body), SympleWireError);
+  EXPECT_THROW(internal::ValidateFrame(payloads[0], &type), SympleWireError);
+}
+
+TEST(Spill, EveryTruncationOfARunFailsVerification) {
+  // A cut inside a frame fails the read; the cut at the frame boundary (and
+  // the empty file) leaves whole frames, so the frame count check fails.
+  internal::TempDir dir("");
+  internal::TempFile file(dir.path(), "run-0.spill");
+  internal::FrameWriter writer(file.fd(), nullptr);
+  writer.WriteFrame(internal::kFramePackets, std::vector<uint8_t>(40, 3));
+  writer.WriteFrame(internal::kFramePackets, {5, 6, 7});
+  ASSERT_TRUE(internal::VerifySpillFile(file.path(), 2));
+  for (uint64_t len = writer.bytes_written(); len-- > 0;) {
+    ASSERT_EQ(::ftruncate(file.fd(), static_cast<off_t>(len)), 0);
+    EXPECT_FALSE(internal::VerifySpillFile(file.path(), 2)) << "cut at " << len;
+  }
 }
 
 TEST(Spill, InjectedFaultsFollowTheSpec) {
-  // frame=0 fails exactly the first block write; the next write succeeds.
+  // frame=0 fails exactly the first frame write; the next write succeeds.
   FaultGuard guard("spill-enospc:worker=*:frame=0");
-  internal::SpillFaultInjector faults(internal::SpillFaultFromEnv());
+  EXPECT_FALSE(internal::FaultSpecFromEnv(/*spill=*/false).has_value());
+  internal::FaultInjector faults{internal::FaultSpecFromEnv(/*spill=*/true)};
   internal::TempDir dir("");
   internal::TempFile file(dir.path(), "run-0.spill");
-  internal::SpillFileWriter writer(&file, &faults);
+  internal::FrameWriter writer(file.fd(), &faults);
   const std::vector<uint8_t> body = {9, 9, 9};
-  EXPECT_THROW(writer.WriteBlock(internal::kSpillBlockPackets, body),
-               SympleIoError);
-  EXPECT_EQ(writer.blocks_written(), 0u);
-  writer.WriteBlock(internal::kSpillBlockPackets, body);
+  EXPECT_THROW(writer.WriteFrame(internal::kFramePackets, body), SympleIoError);
+  EXPECT_EQ(writer.frames_written(), 0u);
+  writer.WriteFrame(internal::kFramePackets, body);
   EXPECT_TRUE(internal::VerifySpillFile(file.path(), 1));
 }
 

@@ -1,8 +1,9 @@
 // Wire-hardening tests: every byte of the serialized artifacts that cross a
-// process boundary (forked-engine frames, segment blobs, symbolic values) is
-// bit-flipped and the readers must neither crash nor corrupt state — each
-// flip is either detected (SympleWireError / checksum failure / degrade to
-// concrete replay) or yields a well-formed value. Runs under the asan preset.
+// process boundary (frames, segment blobs, symbolic values) is bit-flipped
+// and the readers must neither crash nor corrupt state — each flip is either
+// detected (SympleWireError / checksum failure / degrade to concrete replay)
+// or yields a well-formed value. The two frame readers, FrameDecoder and
+// ReadFrame, must agree on every stream. Runs under the asan preset.
 #include "runtime/process_engine.h"
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "queries/text_row.h"
 #include "runtime/engine.h"
 #include "runtime/lambda_query.h"
+#include "runtime/spill.h"
 #include "serialize/checksum.h"
 
 namespace symple {
@@ -91,13 +93,19 @@ TEST(WireHardening, Crc32ExtendChains) {
 
 // A real segment frame: the SYMPLE map task's packets for a small ledger
 // segment with three accounts, and every shipped counter set to a distinct
-// value.
+// value. `payload` is the frame after its size field, as the readers return
+// it.
 struct GoldenSegmentFrame {
   obs::MapTaskObs task;
   std::vector<internal::ShufflePacket<int64_t>> packets;
   std::vector<uint8_t> body;
   std::vector<uint8_t> frame;
+  std::vector<uint8_t> payload;
 };
+
+std::vector<uint8_t> PayloadOf(const std::vector<uint8_t>& frame) {
+  return std::vector<uint8_t>(frame.begin() + sizeof(uint32_t), frame.end());
+}
 
 GoldenSegmentFrame MakeGoldenSegmentFrame() {
   GoldenSegmentFrame g;
@@ -112,16 +120,16 @@ GoldenSegmentFrame MakeGoldenSegmentFrame() {
   BinaryWriter body;
   internal::EncodeSegment(41, g.task, g.packets, &body);
   g.body = body.buffer();
-  BinaryWriter payload;
-  internal::BuildWorkerFrame(internal::kFrameSegment, body, &payload);
-  g.frame = payload.buffer();
+  internal::EncodeFrame(internal::kFrameSegment, g.body, &g.frame);
+  g.payload = PayloadOf(g.frame);
   return g;
 }
 
 TEST(WireHardening, FrameEnvelopeRoundTrip) {
   const GoldenSegmentFrame g = MakeGoldenSegmentFrame();
+  EXPECT_EQ(g.frame.size(), g.body.size() + internal::kFrameEnvelopeBytes);
   uint8_t type = 0;
-  BinaryReader r = internal::ValidateWorkerFrame(g.frame, &type);
+  BinaryReader r = internal::ValidateFrame(g.payload, &type);
   EXPECT_EQ(type, internal::kFrameSegment);
   EXPECT_EQ(r.remaining(), g.body.size());
 }
@@ -130,42 +138,136 @@ TEST(WireHardening, FrameEnvelopeDetectsEverySingleBitFlip) {
   // The CRC covers type, version, and body; a flip in the CRC field itself
   // mismatches the recomputed value. So no single-bit corruption anywhere in
   // the payload may pass validation.
-  const std::vector<uint8_t> golden = MakeGoldenSegmentFrame().frame;
+  const std::vector<uint8_t> golden = MakeGoldenSegmentFrame().payload;
   for (size_t i = 0; i < golden.size(); ++i) {
     for (int bit = 0; bit < 8; ++bit) {
-      std::vector<uint8_t> frame = golden;
-      frame[i] ^= static_cast<uint8_t>(1u << bit);
+      std::vector<uint8_t> payload = golden;
+      payload[i] ^= static_cast<uint8_t>(1u << bit);
       uint8_t type = 0;
-      EXPECT_THROW(internal::ValidateWorkerFrame(frame, &type), SympleWireError)
+      EXPECT_THROW(internal::ValidateFrame(payload, &type), SympleWireError)
           << "byte " << i << " bit " << bit;
     }
   }
 }
 
 TEST(WireHardening, FrameEnvelopeRejectsShortFrames) {
-  const std::vector<uint8_t> golden = MakeGoldenSegmentFrame().frame;
-  for (size_t len = 0; len < internal::kFrameEnvelopeBytes; ++len) {
-    std::vector<uint8_t> frame(golden.begin(),
-                               golden.begin() + static_cast<ptrdiff_t>(len));
+  const std::vector<uint8_t> golden = MakeGoldenSegmentFrame().payload;
+  for (size_t len = 0; len < internal::kFrameEnvelopeBytes - sizeof(uint32_t); ++len) {
+    std::vector<uint8_t> payload(golden.begin(),
+                                 golden.begin() + static_cast<ptrdiff_t>(len));
     uint8_t type = 0;
-    EXPECT_THROW(internal::ValidateWorkerFrame(frame, &type), SympleWireError);
+    EXPECT_THROW(internal::ValidateFrame(payload, &type), SympleWireError);
   }
 }
 
 TEST(WireHardening, FrameEnvelopeRejectsVersionMismatch) {
-  // A frame whose checksum is valid but whose version byte is from the
-  // future must still be rejected — never parsed by guessing the layout.
-  const uint8_t head[2] = {internal::kFrameStreamEnd,
-                           internal::kForkedWireVersion + 1};
-  const uint32_t crc = Crc32(head, sizeof(head));
-  std::vector<uint8_t> frame;
-  for (int shift = 0; shift < 32; shift += 8) {
-    frame.push_back(static_cast<uint8_t>(crc >> shift));
+  // A frame whose checksum is valid but whose version byte is not the
+  // current one must still be rejected — never parsed by guessing the
+  // layout. That covers a version from the future, and the last pipe (4)
+  // and spill (1) versions before the two carriers shared one frame.
+  for (const uint8_t version : {uint8_t{internal::kWireVersion + 1}, uint8_t{4},
+                                uint8_t{1}}) {
+    const uint8_t head[2] = {internal::kFrameStreamEnd, version};
+    const uint32_t crc = Crc32(head, sizeof(head));
+    std::vector<uint8_t> payload;
+    for (int shift = 0; shift < 32; shift += 8) {
+      payload.push_back(static_cast<uint8_t>(crc >> shift));
+    }
+    payload.push_back(head[0]);
+    payload.push_back(head[1]);
+    uint8_t type = 0;
+    EXPECT_THROW(internal::ValidateFrame(payload, &type), SympleWireError)
+        << "version " << int{version};
   }
-  frame.push_back(head[0]);
-  frame.push_back(head[1]);
-  uint8_t type = 0;
-  EXPECT_THROW(internal::ValidateWorkerFrame(frame, &type), SympleWireError);
+}
+
+// --- the two frame readers --------------------------------------------------
+
+// Every payload `bytes` holds, read one byte at a time through FrameDecoder.
+std::vector<std::vector<uint8_t>> DecodeByteByByte(const std::vector<uint8_t>& bytes) {
+  internal::FrameDecoder decoder;
+  std::vector<std::vector<uint8_t>> payloads;
+  std::vector<uint8_t> payload;
+  for (const uint8_t b : bytes) {
+    decoder.Feed(&b, 1);
+    while (decoder.Next(&payload)) {
+      payloads.push_back(payload);
+    }
+  }
+  return payloads;
+}
+
+// Every payload `bytes` holds, written to a file and read back with
+// ReadFrame until a clean EOF.
+std::vector<std::vector<uint8_t>> ReadFromFile(const std::vector<uint8_t>& bytes) {
+  internal::TempDir dir("");
+  internal::TempFile file(dir.path(), "stream");
+  EXPECT_TRUE(internal::WriteAll(file.fd(), bytes.data(), bytes.size()));
+  file.CloseFd();
+  const internal::UniqueFd fd = internal::OpenRun(file.path());
+  std::vector<std::vector<uint8_t>> payloads;
+  std::vector<uint8_t> payload;
+  while (internal::ReadFrame(fd.get(), &payload)) {
+    payloads.push_back(payload);
+  }
+  return payloads;
+}
+
+// A segment frame, a packets frame and a stream end, back to back.
+std::vector<std::vector<uint8_t>> GoldenStreamFrames() {
+  std::vector<std::vector<uint8_t>> frames(3);
+  frames[0] = MakeGoldenSegmentFrame().frame;
+  internal::EncodeFrame(internal::kFramePackets, {1, 2, 3, 4, 5}, &frames[1]);
+  internal::EncodeFrame(internal::kFrameStreamEnd, {}, &frames[2]);
+  return frames;
+}
+
+TEST(WireHardening, FrameReadersAgreeOnAStream) {
+  std::vector<uint8_t> stream;
+  std::vector<std::vector<uint8_t>> expected;
+  for (const std::vector<uint8_t>& frame : GoldenStreamFrames()) {
+    stream.insert(stream.end(), frame.begin(), frame.end());
+    expected.push_back(PayloadOf(frame));
+  }
+  EXPECT_EQ(DecodeByteByByte(stream), expected);
+  EXPECT_EQ(ReadFromFile(stream), expected);
+  const std::vector<uint8_t> types = {internal::kFrameSegment, internal::kFramePackets,
+                                      internal::kFrameStreamEnd};
+  for (size_t i = 0; i < expected.size(); ++i) {
+    uint8_t type = 0;
+    internal::ValidateFrame(expected[i], &type);
+    EXPECT_EQ(type, types[i]);
+  }
+}
+
+TEST(WireHardening, FrameReadersRejectAnOversizedSizeField) {
+  const uint32_t size = internal::kMaxFrameBytes + 1;
+  std::vector<uint8_t> stream;
+  for (int shift = 0; shift < 32; shift += 8) {
+    stream.push_back(static_cast<uint8_t>(size >> shift));
+  }
+  stream.resize(stream.size() + 16, 0);
+  internal::FrameDecoder decoder;
+  decoder.Feed(stream.data(), stream.size());
+  std::vector<uint8_t> payload;
+  EXPECT_THROW(decoder.Next(&payload), SympleIoError);
+  EXPECT_THROW(ReadFromFile(stream), SympleIoError);
+}
+
+TEST(WireHardening, FrameReadersYieldNothingFromACutFrame) {
+  // Every cut inside a frame: the decoder waits for bytes that never come,
+  // and ReadFrame, which blocks until the end of the file, throws. A cut
+  // before the first byte is a clean end of stream for both.
+  for (const std::vector<uint8_t>& frame : GoldenStreamFrames()) {
+    EXPECT_TRUE(DecodeByteByByte({}).empty());
+    EXPECT_TRUE(ReadFromFile({}).empty());
+    for (size_t len = 1; len < frame.size(); ++len) {
+      const std::vector<uint8_t> cut(frame.begin(),
+                                     frame.begin() + static_cast<ptrdiff_t>(len));
+      EXPECT_TRUE(DecodeByteByByte(cut).empty()) << "cut at " << len;
+      EXPECT_THROW(ReadFromFile(cut), SympleWireError) << "cut at " << len;
+    }
+  }
 }
 
 // --- segment frame body -----------------------------------------------------
@@ -176,7 +278,7 @@ TEST(WireHardening, SegmentFrameRoundTrip) {
   uint8_t type = 0;
   obs::MapTaskObs got;
   std::vector<internal::ShufflePacket<int64_t>> packets;
-  EXPECT_EQ(internal::DecodeSegment(internal::ValidateWorkerFrame(g.frame, &type),
+  EXPECT_EQ(internal::DecodeSegment(internal::ValidateFrame(g.payload, &type),
                                     &got, &packets),
             41u);
   ASSERT_EQ(packets.size(), g.packets.size());
@@ -210,12 +312,11 @@ TEST(WireHardening, SegmentFrameRejectsTruncationAndTrailingBytes) {
   // A short or long body inside a valid envelope is a protocol failure
   // (retried), not wire corruption: SympleIoError but never SympleWireError.
   const auto rejects_as_protocol = [](const std::vector<uint8_t>& bytes) {
-    BinaryWriter body;
-    body.WriteBytes(bytes.data(), bytes.size());
-    BinaryWriter payload;
-    internal::BuildWorkerFrame(internal::kFrameSegment, body, &payload);
+    std::vector<uint8_t> frame;
+    internal::EncodeFrame(internal::kFrameSegment, bytes, &frame);
+    const std::vector<uint8_t> payload = PayloadOf(frame);
     uint8_t type = 0;
-    const BinaryReader r = internal::ValidateWorkerFrame(payload.buffer(), &type);
+    const BinaryReader r = internal::ValidateFrame(payload, &type);
     obs::MapTaskObs got;
     std::vector<internal::ShufflePacket<int64_t>> packets;
     try {
