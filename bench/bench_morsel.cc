@@ -9,8 +9,8 @@
 // machine: both policies dispatch greedily to the earliest-free worker (that
 // is what a ThreadPool / stealing-deque pool converges to), the difference is
 // purely task granularity — whole segments vs the record-aligned morsels the
-// engine actually cuts (internal::AppendSegmentMorsels with the production
-// auto-sizing). Real RunSymple executions still gate correctness: outputs at
+// engine actually cuts (internal::AppendSegmentMorsels over the run's
+// internal::InputIndex, with the production auto-sizing). Real RunSymple executions still gate correctness: outputs at
 // every morsel size must be byte-identical to the sequential engine.
 //
 // The workload is a zipf-skewed segment *layout* (one segment holding ~45% of
@@ -115,11 +115,12 @@ std::vector<double> SegmentCosts(const Dataset& data, double per_byte_ms) {
 // auto-sizing for this input and slot count.
 std::vector<double> MorselCosts(const Dataset& data, double per_byte_ms,
                                 size_t slots) {
+  const internal::InputIndex index = internal::BuildInputIndex(data.segments, slots);
   const size_t target =
-      internal::ResolveMorselRecords(0, data.TotalRecords(), slots);
+      internal::ResolveMorselRecords(0, index.total_records, slots);
   std::vector<internal::Morsel> morsels;
-  for (size_t s = 0; s < data.segments.size(); ++s) {
-    internal::AppendSegmentMorsels(data.segments[s], static_cast<uint32_t>(s),
+  for (uint32_t s = 0; s < data.segments.size(); ++s) {
+    internal::AppendSegmentMorsels(data.segments[s], index.slice_newlines[s], s,
                                    target, &morsels);
   }
   std::vector<double> costs;

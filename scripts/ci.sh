@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# Full per-PR gate: the tier-1 suite (default preset), the sanitized builds —
+# Full per-PR gate: the tier-1 suite (default preset), a grep that keeps
+# Dataset::TotalRecords off the engines' run paths, the sanitized builds —
 # fault-injection / wire-hardening / degradation / shuffle suites under
 # ASan+UBSan, and the threaded-engine / shuffle / spill / morsel suites under
 # TSan (filters live in CMakePresets.json) — then the smoke-mode
@@ -16,6 +17,15 @@ cd "$(dirname "$0")/.."
 cmake --preset default
 cmake --build --preset default -j "${CI_JOBS:-$(nproc)}"
 ctest --preset default -j "${CI_JOBS:-$(nproc)}"
+
+# --- one scan path --------------------------------------------------------------
+# The pipeline engines take their record counts from the input index and the
+# map tasks (docs/scheduling.md): no run path may walk the whole input on one
+# thread through Dataset::TotalRecords.
+if grep -n 'TotalRecords(' src/runtime/engine.h src/runtime/process_engine.h; then
+  echo "ci.sh: TotalRecords( appears in src/runtime/engine.h or process_engine.h" >&2
+  exit 1
+fi
 
 cmake --preset asan
 cmake --build --preset asan -j "${CI_JOBS:-$(nproc)}"

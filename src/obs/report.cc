@@ -169,6 +169,11 @@ std::string FormatExplainText(const RunReport& report) {
                 report.engine.c_str());
   out += buf;
   AppendExplainText(report.timeline, &out);
+  if (report.totals.index_wall_ms > 0) {
+    std::snprintf(buf, sizeof(buf), "  input index: %.2f ms of map %.1f ms\n",
+                  report.totals.index_wall_ms, report.totals.map_wall_ms);
+    out += buf;
+  }
   const RunResourceUsage& rusage = report.totals.rusage;
   if (rusage.sampled) {
     std::snprintf(buf, sizeof(buf),

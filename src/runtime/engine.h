@@ -49,6 +49,7 @@
 #include <cstdint>
 #include <cstring>
 #include <ctime>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <map>
@@ -56,6 +57,7 @@
 #include <mutex>
 #include <numeric>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -619,14 +621,13 @@ class ShuffleBuffer {
     void Refill() {
       buf_.clear();
       pos_ = 0;
-      std::vector<uint8_t> payload;
       while (buf_.empty()) {
-        if (!ReadFrame(fd_.get(), &payload)) {
+        if (!ReadFrame(fd_.get(), &payload_)) {
           done_ = true;
           return;
         }
         uint8_t type = 0;
-        BinaryReader r = ValidateFrame(payload, &type);
+        BinaryReader r = ValidateFrame(payload_, &type);
         if (type != kFramePackets) {
           throw SympleWireError("unexpected frame type in a spill run");
         }
@@ -637,6 +638,7 @@ class ShuffleBuffer {
     }
 
     UniqueFd fd_;
+    std::vector<uint8_t> payload_;
     std::vector<Packet> buf_;
     size_t pos_ = 0;
     bool done_ = false;
@@ -913,6 +915,7 @@ inline void FoldDegrades(DegradeAccounting& acct, EngineStats* stats,
 // every engine.
 inline void FoldMapTask(const obs::MapTaskObs& t, EngineStats* stats) {
   stats->map_cpu_ms += t.cpu_ms;
+  stats->input_records += t.records;
   stats->parsed_records += t.parsed;
   stats->shuffle_bytes += t.bytes;
   stats->summaries += t.summaries;
@@ -974,7 +977,6 @@ RunResult<Query> RunSequential(const Dataset& data, const EngineOptions& options
   // Thread CPU, not wall: time the scan spent blocked or descheduled is not
   // map work (the Figure 7 CPU metric).
   task.cpu_ms = internal::ThreadCpuMs() - cpu0;
-  result.stats.input_records = task.records;
   internal::FoldMapTask(task, &result.stats);
   result.stats.total_wall_ms = internal::MsSince(t0);
   result.stats.map_wall_ms = result.stats.total_wall_ms;
@@ -1029,35 +1031,134 @@ inline size_t ResolveMorselRecords(size_t option, uint64_t total_records,
                                                   kMorselMaxRecords));
 }
 
-// Splits one segment into morsels of ~target_records records each, scanning
-// for newlines so every boundary is record-aligned. An empty segment still
-// yields one (empty) morsel: the map function runs once per segment
-// regardless, preserving per-segment task observations. A record is a line;
-// a trailing chunk without '\n' counts as one record, matching LineCursor.
-inline void AppendSegmentMorsels(std::string_view seg, uint32_t segment_id,
-                                 size_t target_records,
+// The input index (docs/scheduling.md): every segment cut into fixed byte
+// slices and the '\n' count of each slice, built once per run before the
+// first map task. It yields the run's record counts, and the morsel cut uses
+// it to find each record-count boundary by scanning one slice, not the
+// whole segment.
+inline constexpr size_t kIndexSliceBytes = size_t{256} << 10;
+
+struct InputIndex {
+  std::vector<std::vector<uint32_t>> slice_newlines;  // [segment][slice]
+  std::vector<uint64_t> segment_records;
+  uint64_t total_records = 0;
+};
+
+// '\n' bytes in [p, p + n), summed per 64-byte block into one byte: a loop
+// shape the compiler vectorizes at -O2.
+inline uint64_t CountNewlines(const char* p, size_t n) {
+  uint64_t count = 0;
+  size_t i = 0;
+  for (; i + 64 <= n; i += 64) {
+    uint8_t block = 0;
+    for (size_t k = 0; k < 64; ++k) {
+      block += p[i + k] == '\n';
+    }
+    count += block;
+  }
+  for (; i < n; ++i) {
+    count += p[i] == '\n';
+  }
+  return count;
+}
+
+// Counts every slice on min(slots, slices) threads that claim slices from
+// one atomic counter; a single slice is counted on the calling thread. A
+// segment's records are its slices' newlines, plus one if it is non-empty
+// and does not end in '\n' (the LineCursor rule).
+inline InputIndex BuildInputIndex(const std::vector<std::string>& segments,
+                                  size_t slots) {
+  InputIndex index;
+  index.slice_newlines.resize(segments.size());
+  std::vector<std::pair<uint32_t, size_t>> slices;  // (segment, slice)
+  for (uint32_t s = 0; s < segments.size(); ++s) {
+    index.slice_newlines[s].resize((segments[s].size() + kIndexSliceBytes - 1) /
+                                   kIndexSliceBytes);
+    for (size_t i = 0; i < index.slice_newlines[s].size(); ++i) {
+      slices.emplace_back(s, i);
+    }
+  }
+  std::atomic<size_t> next{0};
+  const auto count = [&segments, &slices, &next, &index] {
+    for (size_t k; (k = next.fetch_add(1, std::memory_order_relaxed)) < slices.size();) {
+      const auto [s, i] = slices[k];
+      const size_t begin = i * kIndexSliceBytes;
+      index.slice_newlines[s][i] = static_cast<uint32_t>(
+          CountNewlines(segments[s].data() + begin,
+                        std::min(kIndexSliceBytes, segments[s].size() - begin)));
+    }
+  };
+  const size_t threads = std::min(slots, slices.size());
+  if (threads > 1) {
+    RunParallel(threads, std::vector<std::function<void()>>(threads, count));
+  } else {
+    count();
+  }
+  index.segment_records.reserve(segments.size());
+  for (uint32_t s = 0; s < segments.size(); ++s) {
+    const std::vector<uint32_t>& counts = index.slice_newlines[s];
+    uint64_t records = std::accumulate(counts.begin(), counts.end(), uint64_t{0});
+    if (!segments[s].empty() && segments[s].back() != '\n') {
+      ++records;
+    }
+    index.segment_records.push_back(records);
+    index.total_records += records;
+  }
+  return index;
+}
+
+// Splits one segment into morsels of target_records records each, every
+// boundary just past a '\n'. `slice_newlines` is the segment's slice counts
+// from the InputIndex: the cut walks them to the slice holding each
+// boundary and scans only inside that slice. An empty segment still yields
+// one (empty) morsel: the map function runs once per segment regardless,
+// preserving per-segment task observations. A trailing chunk without '\n'
+// counts as one record, matching LineCursor.
+inline void AppendSegmentMorsels(std::string_view seg,
+                                 std::span<const uint32_t> slice_newlines,
+                                 uint32_t segment_id, size_t target_records,
                                  std::vector<Morsel>* out) {
   // A segment cannot hold more records than bytes, so a target at or above
-  // the byte count means one morsel — skip the newline scan entirely.
+  // the byte count means one morsel.
   if (target_records >= seg.size()) {
     out->push_back(Morsel{segment_id, 0, seg.size(), 0});
     return;
   }
   size_t begin = 0;
   uint64_t first_record = 0;
-  uint64_t records = 0;
+  size_t slice = 0;
+  uint64_t before = 0;  // '\n' in the slices before `slice`
   size_t pos = 0;
-  while (pos < seg.size()) {
-    const void* nl = memchr(seg.data() + pos, '\n', seg.size() - pos);
-    pos = nl != nullptr
-              ? static_cast<size_t>(static_cast<const char*>(nl) - seg.data()) + 1
-              : seg.size();
-    ++records;
-    if (records - first_record >= target_records) {
-      out->push_back(Morsel{segment_id, begin, pos, first_record});
-      begin = pos;
-      first_record = records;
+  uint64_t seen = 0;  // '\n' in [0, pos)
+  for (uint64_t want = target_records;; want += target_records) {
+    while (slice < slice_newlines.size() && before + slice_newlines[slice] < want) {
+      before += slice_newlines[slice++];
     }
+    if (slice == slice_newlines.size()) {
+      break;  // fewer than `want` newlines: the rest is the last morsel
+    }
+    if (pos < slice * kIndexSliceBytes) {
+      pos = slice * kIndexSliceBytes;
+      seen = before;
+    }
+    // Whole 64-byte blocks before the boundary are counted, not walked.
+    while (seg.size() - pos >= 64) {
+      const uint64_t block = CountNewlines(seg.data() + pos, 64);
+      if (seen + block >= want) {
+        break;
+      }
+      seen += block;
+      pos += 64;
+    }
+    for (; seen < want; ++seen) {
+      pos = static_cast<size_t>(static_cast<const char*>(memchr(
+                                    seg.data() + pos, '\n', seg.size() - pos)) -
+                                seg.data()) +
+            1;
+    }
+    out->push_back(Morsel{segment_id, begin, pos, first_record});
+    begin = pos;
+    first_record = want;
   }
   if (begin < seg.size() || out->empty() ||
       out->back().segment != segment_id) {
@@ -1090,11 +1191,11 @@ std::vector<ShufflePacket<typename Body::Key>> MapChunk(
   using Key = typename Body::Key;
   using Packet = ShufflePacket<Key>;
   using Table = FlatGroupMap<Key, typename Body::Group>;
-  // Sized from the capacity hint over the chunk's record-count hint, and
-  // clamped under a budget so the up-front reservation cannot eat it.
-  Table groups(ClampHintToBudget(
-      ResolveGroupCapacityHint(body.seg_hint, chunk.size() / 64), budget,
-      sizeof(typename Table::Node) + 8));
+  // Sized from the run's per-segment capacity hint (always above 0, see
+  // RunPipeline), clamped under a budget so the up-front reservation cannot
+  // eat it.
+  Table groups(ClampHintToBudget(body.seg_hint, budget,
+                                 sizeof(typename Table::Node) + 8));
   groups.SetMemoryBudget(budget);
   const bool budgeted =
       shuffle != nullptr && budget != nullptr && budget->limit_bytes() > 0;
@@ -1158,7 +1259,8 @@ std::vector<ShufflePacket<typename Body::Key>> MapChunk(
 // (RowsBody or SummariesBody) with the run's `budget` and `shuffle`, so a
 // budgeted task can flush its table mid-morsel (docs/spill.md).
 //
-// Segments are chunked into record-aligned morsels seeded round-robin into
+// Segments are cut from the run's `index` into record-aligned morsels (the
+// cut's wall adds to index_wall_ms) seeded round-robin into
 // per-worker stealing deques (segment s's morsels on worker s % workers, in
 // order, so the common case processes each segment contiguously and
 // front-to-back); an idle worker steals from the back of a loaded peer, so
@@ -1173,17 +1275,20 @@ std::vector<ShufflePacket<typename Body::Key>> MapChunk(
 // coordinator after quiesce, mirroring the reduce stage. A body's own
 // per-group degradation happens inside Feed and Emit and never escapes.
 template <typename Body>
-void RunMapPhase(const std::vector<std::string>& segments,
+void RunMapPhase(const std::vector<std::string>& segments, const InputIndex& index,
                  const std::vector<uint32_t>& segment_ids, size_t slots,
                  size_t morsel_records, const Body& body, MemoryBudget* budget,
                  ShuffleBuffer<typename Body::Key>* shuffle, EngineStats* stats,
                  obs::RunObserver* observer) {
   using Packet = ShufflePacket<typename Body::Key>;
+  const auto cut_start = std::chrono::steady_clock::now();
   std::vector<Morsel> morsels;
   morsels.reserve(segment_ids.size());
   for (const uint32_t s : segment_ids) {
-    AppendSegmentMorsels(segments[s], s, morsel_records, &morsels);
+    AppendSegmentMorsels(segments[s], index.slice_newlines[s], s, morsel_records,
+                         &morsels);
   }
+  stats->index_wall_ms += MsSince(cut_start);
   stats->morsel_target_records =
       morsel_records == std::numeric_limits<size_t>::max() ? 0 : morsel_records;
   const size_t workers = std::max<size_t>(1, std::min(slots, morsels.size()));
@@ -1864,12 +1969,12 @@ struct SummariesBody {
 struct ThreadExecutor {
   template <typename Body>
   static void RunMap(const Dataset& data, const EngineOptions& options,
-                     const Body& body, MemoryBudget* budget,
+                     const InputIndex& index, const Body& body, MemoryBudget* budget,
                      ShuffleBuffer<typename Body::Key>* shuffle, EngineStats* stats) {
     std::vector<uint32_t> all(data.segment_count());
     std::iota(all.begin(), all.end(), 0u);
-    RunMapPhase(data.segments, all, options.map_slots,
-                ResolveMorselRecords(options.morsel_records, stats->input_records,
+    RunMapPhase(data.segments, index, all, options.map_slots,
+                ResolveMorselRecords(options.morsel_records, index.total_records,
                                      options.map_slots),
                 body, budget, shuffle, stats, options.observer);
   }
@@ -1895,19 +2000,22 @@ RunResult<Query> RunPipeline(const Dataset& data, const EngineOptions& options) 
   const auto t0 = std::chrono::steady_clock::now();
   RunResult<Query> result;
   result.stats.input_bytes = data.TotalBytes();
-  result.stats.input_records = data.TotalRecords();
+  // The input index, built and joined before any executor runs (so before
+  // any fork); input_records itself is folded from the map tasks.
+  const InputIndex index = BuildInputIndex(data.segments, options.map_slots);
+  result.stats.index_wall_ms = MsSince(t0);
 
   // Per-segment group capacity from the record-count hint, so tables start
-  // sized instead of rehashing up from 16; resolved before any fork.
+  // sized instead of rehashing up from 16.
   const size_t seg_hint = ResolveGroupCapacityHint(
       options.group_capacity_hint,
-      data.segment_count() > 0 ? result.stats.input_records / data.segment_count() : 0);
+      data.segment_count() > 0 ? index.total_records / data.segment_count() : 0);
   const Body body{data, options, seg_hint};
   MemoryBudget budget(options.memory_budget_bytes);
   ShuffleBuffer<Key> shuffle(ResolveReducePartitions(options),
                              data.segment_count() * std::min<size_t>(seg_hint, 4096),
                              &budget, options.spill_dir);
-  Executor::RunMap(data, options, body, &budget, &shuffle, &result.stats);
+  Executor::RunMap(data, options, index, body, &budget, &shuffle, &result.stats);
   result.stats.map_wall_ms = MsSince(t0);
 
   DegradeAccounting degrades;

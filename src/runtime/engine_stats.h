@@ -46,6 +46,10 @@ inline std::string FormatFixed(double value, int decimals) {
 struct EngineStats {
   // Wall-clock phases (milliseconds), measured with steady_clock.
   double map_wall_ms = 0;
+  // Of map_wall_ms: the coordinator's wall for the input index pass and the
+  // morsel cut before the map tasks start (docs/scheduling.md). 0 for the
+  // sequential oracle, which runs neither.
+  double index_wall_ms = 0;
   double shuffle_wall_ms = 0;
   double reduce_wall_ms = 0;
   double total_wall_ms = 0;
@@ -139,7 +143,8 @@ struct EngineStats {
     std::string out = "wall=" + internal::FormatFixed(total_wall_ms, 1) + "ms (map " +
                       internal::FormatFixed(map_wall_ms, 1) + ", shuffle " +
                       internal::FormatFixed(shuffle_wall_ms, 1) + ", reduce " +
-                      internal::FormatFixed(reduce_wall_ms, 1) + ") cpu=" +
+                      internal::FormatFixed(reduce_wall_ms, 1) + ") index=" +
+                      internal::FormatFixed(index_wall_ms, 2) + "ms cpu=" +
                       internal::FormatFixed(total_cpu_ms(), 1) + "ms shuffle=" +
                       internal::FormatFixed(static_cast<double>(shuffle_bytes) / 1e6, 2) +
                       "MB groups=" + std::to_string(groups) +
@@ -198,6 +203,7 @@ struct EngineStats {
   void AppendTotalsFields(obs::JsonWriter& w) const {
     w.KV("total_wall_ms", total_wall_ms);
     w.KV("map_wall_ms", map_wall_ms);
+    w.KV("index_wall_ms", index_wall_ms);
     w.KV("shuffle_wall_ms", shuffle_wall_ms);
     w.KV("reduce_wall_ms", reduce_wall_ms);
     w.KV("map_cpu_ms", map_cpu_ms);

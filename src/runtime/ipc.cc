@@ -302,7 +302,7 @@ void EncodeFrame(uint8_t type, const std::vector<uint8_t>& body,
   PutU32Le(Crc32(f + 8, frame->size() - 8), f + 4);
 }
 
-BinaryReader ValidateFrame(const std::vector<uint8_t>& payload, uint8_t* type_out) {
+BinaryReader ValidateFrame(std::span<const uint8_t> payload, uint8_t* type_out) {
   constexpr size_t kPayloadEnvelope = kFrameEnvelopeBytes - 4;  // crc + type + version
   if (payload.size() < kPayloadEnvelope) {
     throw SympleWireError("frame shorter than its envelope (" +
@@ -345,7 +345,7 @@ void FrameDecoder::Feed(const uint8_t* data, size_t size) {
   buf_.insert(buf_.end(), data, data + size);
 }
 
-bool FrameDecoder::Next(std::vector<uint8_t>* payload) {
+bool FrameDecoder::Next(std::span<const uint8_t>* payload) {
   if (buf_.size() - pos_ < sizeof(uint32_t)) {
     return false;
   }
@@ -353,8 +353,7 @@ bool FrameDecoder::Next(std::vector<uint8_t>* payload) {
   if (buf_.size() - pos_ - sizeof(uint32_t) < size) {
     return false;
   }
-  const uint8_t* begin = buf_.data() + pos_ + sizeof(uint32_t);
-  payload->assign(begin, begin + size);
+  *payload = std::span<const uint8_t>(buf_).subspan(pos_ + sizeof(uint32_t), size);
   pos_ += sizeof(uint32_t) + size;
   return true;
 }

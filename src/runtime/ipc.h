@@ -22,6 +22,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -155,11 +156,11 @@ inline constexpr uint32_t kMaxFrameBytes = 1u << 30;
 void EncodeFrame(uint8_t type, const std::vector<uint8_t>& body,
                  std::vector<uint8_t>* frame);
 
-// Checks a frame payload's checksum and version and returns a reader over its
-// body, storing the frame type in *type_out. Throws SympleWireError on a
-// payload shorter than its envelope, a checksum mismatch or a version
+// Checks a frame payload's checksum and version in place and returns a reader
+// over its body, storing the frame type in *type_out. Throws SympleWireError
+// on a payload shorter than its envelope, a checksum mismatch or a version
 // mismatch.
-BinaryReader ValidateFrame(const std::vector<uint8_t>& payload, uint8_t* type_out);
+BinaryReader ValidateFrame(std::span<const uint8_t> payload, uint8_t* type_out);
 
 // Blocking read of the next frame's payload from `fd`; false at a clean EOF
 // before the frame's first byte. Throws SympleWireError when the stream ends
@@ -168,12 +169,13 @@ bool ReadFrame(int fd, std::vector<uint8_t>* payload);
 
 // Incremental reader for the parent's poll() loop: Feed() raw bytes as they
 // arrive, and Next() pops the next complete frame's payload or returns false
-// until more bytes arrive, so a stream cut mid-frame yields no frame. Throws
-// SympleIoError on a size above kMaxFrameBytes.
+// until more bytes arrive, so a stream cut mid-frame yields no frame. The
+// payload is a view into the decoder's buffer, valid until the next Feed().
+// Throws SympleIoError on a size above kMaxFrameBytes.
 class FrameDecoder {
  public:
   void Feed(const uint8_t* data, size_t size);
-  bool Next(std::vector<uint8_t>* payload);
+  bool Next(std::span<const uint8_t>* payload);
 
  private:
   std::vector<uint8_t> buf_;

@@ -65,6 +65,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -175,10 +176,10 @@ uint32_t DecodeSegment(BinaryReader r, obs::MapTaskObs* t,
 // A failed worker's pending segments — whether it crashed, hung, corrupted a
 // frame or broke the protocol — go to a respawned worker, and a lineage out
 // of retries runs them in-process through RunMapPhase, under the run's
-// `budget`.
+// `budget`, cut from the run's `index` (built before the first fork).
 template <typename Body>
 void RunForkedMapPhase(const Dataset& data, const EngineOptions& options,
-                       const Body& body, MemoryBudget* budget,
+                       const InputIndex& index, const Body& body, MemoryBudget* budget,
                        ShuffleBuffer<typename Body::Key>* shuffle, EngineStats* stats) {
   using Key = typename Body::Key;
   using Packet = ShufflePacket<Key>;
@@ -287,7 +288,7 @@ void RunForkedMapPhase(const Dataset& data, const EngineOptions& options,
   };
 
   auto process_frames = [&](WorkerState& w) {
-    std::vector<uint8_t> frame;
+    std::span<const uint8_t> frame;
     while (w.decoder.Next(&frame)) {
       uint8_t type = 0;
       BinaryReader r = ValidateFrame(frame, &type);
@@ -365,12 +366,12 @@ void RunForkedMapPhase(const Dataset& data, const EngineOptions& options,
     // packets carry global record ids, so they compose at the reducer
     // exactly like a whole segment's would.
     stats->fallback_segments += pending.size();
-    uint64_t total_records = 0;
+    uint64_t pending_records = 0;
     for (const uint32_t s : pending) {
-      total_records += data.segments[s].size() / 64 + 1;  // bytes-derived hint
+      pending_records += index.segment_records[s];
     }
-    RunMapPhase(data.segments, pending, num_processes,
-                ResolveMorselRecords(options.morsel_records, total_records,
+    RunMapPhase(data.segments, index, pending, num_processes,
+                ResolveMorselRecords(options.morsel_records, pending_records,
                                      num_processes),
                 body, budget, shuffle, stats, observer);
     slot.reset();
@@ -466,9 +467,9 @@ void RunForkedMapPhase(const Dataset& data, const EngineOptions& options,
 struct ForkExecutor {
   template <typename Body>
   static void RunMap(const Dataset& data, const EngineOptions& options,
-                     const Body& body, MemoryBudget* budget,
+                     const InputIndex& index, const Body& body, MemoryBudget* budget,
                      ShuffleBuffer<typename Body::Key>* shuffle, EngineStats* stats) {
-    RunForkedMapPhase(data, options, body, budget, shuffle, stats);
+    RunForkedMapPhase(data, options, index, body, budget, shuffle, stats);
   }
 };
 

@@ -1,11 +1,14 @@
-// Tests for the morsel-driven map scheduler (docs/scheduling.md): the
-// record-aligned chunker, the stealing deques, byte-identical engine output
-// at extreme morsel sizes, zero-record edge cases, and the ThreadPool
-// exception-containment contract (a throwing UDA degrades or surfaces as a
-// typed error — it never std::terminates the process).
+// Tests for the morsel-driven map scheduler (docs/scheduling.md): the input
+// index and the record-aligned cut made from it, the stealing deques,
+// byte-identical engine output at extreme morsel sizes, zero-record edge
+// cases, and the ThreadPool exception-containment contract (a throwing UDA
+// degrades or surfaces as a typed error — it never std::terminates the
+// process).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <mutex>
 #include <set>
@@ -15,6 +18,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "common/text.h"
 #include "common/thread_pool.h"
 #include "core/degrade.h"
@@ -30,6 +34,9 @@ namespace symple {
 namespace {
 
 using internal::AppendSegmentMorsels;
+using internal::BuildInputIndex;
+using internal::InputIndex;
+using internal::kIndexSliceBytes;
 using internal::Morsel;
 using internal::ResolveMorselRecords;
 
@@ -37,10 +44,146 @@ constexpr size_t kHuge = std::numeric_limits<size_t>::max();
 
 // --- the chunker -------------------------------------------------------------
 
+// One segment cut from its own index.
 std::vector<Morsel> Chunk(std::string_view seg, size_t target) {
+  const InputIndex index = BuildInputIndex({std::string(seg)}, 1);
   std::vector<Morsel> out;
-  AppendSegmentMorsels(seg, 0, target, &out);
+  AppendSegmentMorsels(seg, index.slice_newlines[0], 0, target, &out);
   return out;
+}
+
+// The whole-segment memchr walk the indexed cut replaced, kept as the
+// reference it must match morsel for morsel.
+void ReferenceCut(std::string_view seg, uint32_t segment_id, size_t target_records,
+                  std::vector<Morsel>* out) {
+  if (target_records >= seg.size()) {
+    out->push_back(Morsel{segment_id, 0, seg.size(), 0});
+    return;
+  }
+  size_t begin = 0;
+  uint64_t first_record = 0;
+  uint64_t records = 0;
+  size_t pos = 0;
+  while (pos < seg.size()) {
+    const void* nl = memchr(seg.data() + pos, '\n', seg.size() - pos);
+    pos = nl != nullptr
+              ? static_cast<size_t>(static_cast<const char*>(nl) - seg.data()) + 1
+              : seg.size();
+    ++records;
+    if (records - first_record >= target_records) {
+      out->push_back(Morsel{segment_id, begin, pos, first_record});
+      begin = pos;
+      first_record = records;
+    }
+  }
+  if (begin < seg.size() || out->empty() || out->back().segment != segment_id) {
+    out->push_back(Morsel{segment_id, begin, seg.size(), first_record});
+  }
+}
+
+std::vector<Morsel> ReferenceCutAll(const Dataset& data, size_t target) {
+  std::vector<Morsel> out;
+  for (uint32_t s = 0; s < data.segments.size(); ++s) {
+    ReferenceCut(data.segments[s], s, target, &out);
+  }
+  return out;
+}
+
+// Index of the first morsel that differs, or -1 when `a` and `b` are equal.
+int64_t FirstDifference(const std::vector<Morsel>& a, const std::vector<Morsel>& b) {
+  const auto fields = [](const Morsel& m) {
+    return std::tie(m.segment, m.byte_begin, m.byte_end, m.first_record);
+  };
+  for (size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+    if (fields(a[i]) != fields(b[i])) {
+      return static_cast<int64_t>(i);
+    }
+  }
+  return a.size() == b.size() ? -1 : static_cast<int64_t>(std::min(a.size(), b.size()));
+}
+
+// Lines of 0..max_line bytes until the segment reaches `bytes`; without
+// `trailing_newline` the last line loses its '\n'.
+std::string RandomSegment(SplitMix64& rng, size_t bytes, size_t max_line,
+                          bool trailing_newline) {
+  std::string seg;
+  seg.reserve(bytes + max_line + 1);
+  while (seg.size() < bytes) {
+    seg.append(rng.Below(max_line + 1), 'x');
+    seg.push_back('\n');
+  }
+  if (!trailing_newline && !seg.empty()) {
+    seg.back() = 'y';
+  }
+  return seg;
+}
+
+uint64_t LineCount(std::string_view seg) {
+  uint64_t n = 0;
+  LineCursor cur(seg);
+  while (cur.Next()) {
+    ++n;
+  }
+  return n;
+}
+
+// Checks one dataset's index against LineCursor and its cut against the
+// reference walk at `target`, with the index built on `slots` threads.
+void ExpectIndexedCutMatchesReference(const Dataset& data, size_t target,
+                                      size_t slots) {
+  const InputIndex index = BuildInputIndex(data.segments, slots);
+  ASSERT_EQ(index.segment_records.size(), data.segments.size());
+  EXPECT_EQ(index.total_records, data.TotalRecords());
+  std::vector<Morsel> cut;
+  for (uint32_t s = 0; s < data.segments.size(); ++s) {
+    EXPECT_EQ(index.segment_records[s], LineCount(data.segments[s])) << "segment " << s;
+    AppendSegmentMorsels(data.segments[s], index.slice_newlines[s], s, target, &cut);
+  }
+  const std::vector<Morsel> reference = ReferenceCutAll(data, target);
+  EXPECT_EQ(FirstDifference(cut, reference), -1)
+      << "target " << target << ", slots " << slots << ", " << cut.size()
+      << " morsels against " << reference.size();
+}
+
+TEST(MorselChunker, IndexedCutMatchesReferenceWalk) {
+  // Fixed shapes first: a '\n' on the last byte of every slice, and
+  // segments of exactly two slices with and without a trailing '\n'.
+  const std::string line15(15, 'x');
+  std::string exact;
+  for (size_t i = 0; i < 2 * kIndexSliceBytes / 16; ++i) {
+    exact += line15 + '\n';
+  }
+  ASSERT_EQ(exact.size(), 2 * kIndexSliceBytes);
+  ASSERT_EQ(exact[kIndexSliceBytes - 1], '\n');
+  std::string exact_open = exact;
+  exact_open.back() = 'y';
+  const std::string one_line_slice = std::string(kIndexSliceBytes - 1, 'x') + "\n" + "ab\ncd";
+  for (const size_t target : {size_t{1}, size_t{7}, size_t{16383}, size_t{16384},
+                              size_t{16385}, size_t{50000}}) {
+    Dataset data;
+    data.segments = {exact, exact_open, one_line_slice, ""};
+    ExpectIndexedCutMatchesReference(data, target, 4);
+  }
+
+  // Then seeded random inputs: 1-4 segments of 0 B to ~1.5 MiB, short,
+  // medium and long lines, with and without a trailing '\n'.
+  SplitMix64 rng(0x5eed1dce);
+  const size_t max_lines[] = {3, 40, 400};
+  for (int round = 0; round < 40; ++round) {
+    Dataset data;
+    const size_t segments = 1 + rng.Below(4);
+    for (size_t s = 0; s < segments; ++s) {
+      const size_t bytes = rng.Chance(1, 8) ? 0 : rng.Below(3 * kIndexSliceBytes * 2);
+      data.segments.push_back(RandomSegment(rng, bytes, max_lines[rng.Below(3)],
+                                            rng.Chance(1, 2)));
+    }
+    // Log-uniform targets from 1 to 50 000.
+    const size_t target = std::min<size_t>(
+        50000, static_cast<size_t>(std::exp(rng.NextDouble() * std::log(50000.0))));
+    const size_t slots = 1 + rng.Below(4);
+    SCOPED_TRACE("round " + std::to_string(round));
+    ExpectIndexedCutMatchesReference(data, std::max<size_t>(target, 1), slots);
+  }
 }
 
 TEST(MorselChunker, EmptySegmentYieldsOneEmptyMorsel) {
@@ -278,6 +421,49 @@ TEST(MorselStats, ExplicitSizeCountsMorselsPerSegment) {
   EXPECT_EQ(sym.stats.map_morsels, 6u);
   EXPECT_EQ(sym.stats.morsel_target_records, 2u);
   EXPECT_NE(sym.stats.OneLine().find("morsels=6"), std::string::npos);
+}
+
+TEST(MorselStats, FiveEnginesCountAndCutFromTheIndex) {
+  // Several slices per segment, unbudgeted and at a 256 KiB budget.
+  const Dataset data = MorselRedshift(60000, 3);
+  ASSERT_GT(data.segments[0].size(), 2 * kIndexSliceBytes);
+  const uint64_t records = data.TotalRecords();
+  for (const uint64_t budget : {uint64_t{0}, uint64_t{256} << 10}) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    EngineOptions options;
+    options.map_slots = 4;
+    options.reduce_slots = 2;
+    options.memory_budget_bytes = budget;
+    const size_t target = ResolveMorselRecords(0, records, options.map_slots);
+    const size_t reference_morsels = ReferenceCutAll(data, target).size();
+    const auto seq = RunSequential<R1Impressions>(data, options);
+    EXPECT_EQ(seq.stats.input_records, records);
+    for (const auto& run : {RunBaselineMapReduce<R1Impressions>(data, options),
+                            RunSymple<R1Impressions>(data, options)}) {
+      EXPECT_TRUE(run.outputs == seq.outputs);
+      EXPECT_EQ(run.stats.input_records, records);
+      EXPECT_EQ(run.stats.map_morsels, reference_morsels);
+      EXPECT_EQ(run.stats.morsel_target_records, target);
+    }
+    // Forked children map whole segments and report no morsels.
+    for (const auto& run : {RunBaselineForked<R1Impressions>(data, options),
+                            RunSympleForked<R1Impressions>(data, options)}) {
+      EXPECT_TRUE(run.outputs == seq.outputs);
+      EXPECT_EQ(run.stats.input_records, records);
+    }
+  }
+}
+
+TEST(MorselStats, IndexWallIsInsideTheMapWall) {
+  const Dataset data = MorselRedshift(60000, 3);
+  EngineOptions options;
+  options.map_slots = 4;
+  const auto mr = RunBaselineMapReduce<R1Impressions>(data, options);
+  EXPECT_GT(mr.stats.index_wall_ms, 0);
+  EXPECT_LE(mr.stats.index_wall_ms, mr.stats.map_wall_ms);
+  EXPECT_NE(mr.stats.OneLine().find(" index="), std::string::npos);
+  // The oracle runs no index pass.
+  EXPECT_EQ(RunSequential<R1Impressions>(data).stats.index_wall_ms, 0);
 }
 
 TEST(MorselStats, SingleSlotAutoKeepsWholeSegments) {

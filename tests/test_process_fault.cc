@@ -286,6 +286,34 @@ TEST(ProcessFault, RepeatedCrashesFallBackInProcess) {
   EXPECT_EQ(forked.stats.worker_crashes, 4u);
 }
 
+TEST(ProcessFault, FallbackSizesMorselsFromTheIndex) {
+  // Four equal segments over two workers: each lineage falls back with two
+  // segments of the same record count, so the run's morsel target does not
+  // depend on which lineage falls back last. The byte estimate the index
+  // replaced (size / 64 + 1 per segment) resolves 2048 here, not 2500.
+  Dataset data;
+  for (int s = 0; s < 4; ++s) {
+    std::string seg;
+    for (int r = 0; r < 20000; ++r) {
+      seg += "t\t" + std::to_string((s * 20000 + r) % 97) + "\t0\n";
+    }
+    data.segments.push_back(std::move(seg));
+  }
+  const auto seq = RunSequential<R1Impressions>(data);
+
+  FaultGuard fault("crash:worker=*:frame=0");
+  EngineOptions options = ForkedOptions(2);
+  options.worker_retry_limit = 0;  // straight to in-process fallback
+  const auto forked = RunSympleForked<R1Impressions>(data, options);
+  EXPECT_TRUE(forked.outputs == seq.outputs);
+  EXPECT_EQ(forked.stats.fallback_segments, data.segments.size());
+  const uint64_t pending_records = data.TotalRecords() / 2;
+  EXPECT_EQ(forked.stats.morsel_target_records,
+            internal::ResolveMorselRecords(0, pending_records, options.map_slots));
+  EXPECT_EQ(forked.stats.morsel_target_records, 2500u);
+  EXPECT_EQ(forked.stats.input_records, data.TotalRecords());
+}
+
 TEST(ProcessFault, NoFdLeaksOrZombiesAfterFailures) {
   const Dataset data = SmallGithub();
   // Warm up lazily-created fds (e.g. test infrastructure) before baselining.

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -184,14 +185,15 @@ TEST(WireHardening, FrameEnvelopeRejectsVersionMismatch) {
 // --- the two frame readers --------------------------------------------------
 
 // Every payload `bytes` holds, read one byte at a time through FrameDecoder.
+// Each payload is copied out of the decoder before the next Feed.
 std::vector<std::vector<uint8_t>> DecodeByteByByte(const std::vector<uint8_t>& bytes) {
   internal::FrameDecoder decoder;
   std::vector<std::vector<uint8_t>> payloads;
-  std::vector<uint8_t> payload;
+  std::span<const uint8_t> payload;
   for (const uint8_t b : bytes) {
     decoder.Feed(&b, 1);
     while (decoder.Next(&payload)) {
-      payloads.push_back(payload);
+      payloads.emplace_back(payload.begin(), payload.end());
     }
   }
   return payloads;
@@ -249,7 +251,7 @@ TEST(WireHardening, FrameReadersRejectAnOversizedSizeField) {
   stream.resize(stream.size() + 16, 0);
   internal::FrameDecoder decoder;
   decoder.Feed(stream.data(), stream.size());
-  std::vector<uint8_t> payload;
+  std::span<const uint8_t> payload;
   EXPECT_THROW(decoder.Next(&payload), SympleIoError);
   EXPECT_THROW(ReadFromFile(stream), SympleIoError);
 }
