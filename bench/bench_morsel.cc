@@ -7,7 +7,7 @@
 // over genuine RedShift-format records) is measured single-threaded, then
 // each dispatch policy's map makespan is computed on an ideal `slots`-wide
 // machine: both policies dispatch greedily to the earliest-free worker (that
-// is what a ThreadPool / stealing-deque pool converges to), the difference is
+// is what a task pool or the stealing deques converge to), the difference is
 // purely task granularity — whole segments vs the record-aligned morsels the
 // engine actually cuts (internal::AppendSegmentMorsels over the run's
 // internal::InputIndex, with the production auto-sizing). Real RunSymple executions still gate correctness: outputs at
@@ -91,7 +91,7 @@ double PerByteMapMs(const std::string& blob) {
   return best / static_cast<double>(blob.size() == 0 ? 1 : blob.size());
 }
 
-// Greedy earliest-free-worker makespan — what both the ThreadPool (per-segment
+// Greedy earliest-free-worker makespan — what both a task pool (per-segment
 // tasks) and the stealing deques (morsels) converge to on idle cores.
 double GreedyMakespan(const std::vector<double>& costs, size_t workers) {
   std::vector<double> busy(workers, 0.0);

@@ -57,10 +57,6 @@ struct Options {
   size_t path_budget = 0;
   size_t summary_bytes_budget = 0;
   bool force_degrade = false;
-  // Shuffle knobs (docs/shuffle.md). partitions 0 = auto (one per reduce slot).
-  size_t reduce_partitions = 0;
-  // Expected groups per map segment (docs/group_map.md); 0 = auto.
-  size_t group_capacity_hint = 0;
   // Records per map morsel (docs/scheduling.md); 0 = auto.
   size_t morsel_records = 0;
   // Memory-budgeted execution (docs/spill.md). 0 = untracked, never spill.
@@ -195,8 +191,6 @@ int RunQuery(const Options& options, symple::Dataset data) {
     engine_options.budgets.max_summary_bytes_per_segment =
         options.summary_bytes_budget;
     engine_options.budgets.force_degrade = options.force_degrade;
-    engine_options.reduce_partitions = options.reduce_partitions;
-    engine_options.group_capacity_hint = options.group_capacity_hint;
     engine_options.morsel_records = options.morsel_records;
     engine_options.memory_budget_bytes = options.memory_budget_bytes;
     engine_options.spill_dir = options.spill_dir;
@@ -353,10 +347,6 @@ int main(int argc, char** argv) {
       options.path_budget = static_cast<size_t>(std::atoll(value.c_str()));
     } else if (FlagValue(argc, argv, i, "--summary-bytes-budget", &value)) {
       options.summary_bytes_budget = static_cast<size_t>(std::atoll(value.c_str()));
-    } else if (FlagValue(argc, argv, i, "--reduce-partitions", &value)) {
-      options.reduce_partitions = static_cast<size_t>(std::atoll(value.c_str()));
-    } else if (FlagValue(argc, argv, i, "--group-capacity-hint", &value)) {
-      options.group_capacity_hint = static_cast<size_t>(std::atoll(value.c_str()));
     } else if (FlagValue(argc, argv, i, "--morsel-records", &value)) {
       options.morsel_records = static_cast<size_t>(std::atoll(value.c_str()));
     } else if (FlagValue(argc, argv, i, "--memory-budget", &value)) {
@@ -396,8 +386,6 @@ int main(int argc, char** argv) {
                 "                 [--worker-timeout-ms N] [--worker-retries N]\n"
                 "                 [--path-budget N] [--summary-bytes-budget N] "
                 "[--force-degrade]\n"
-                "                 [--reduce-partitions N] "
-                "[--group-capacity-hint N]\n"
                 "                 [--morsel-records N] "
                 "[--memory-budget N[k|m|g]] [--spill-dir DIR]\n"
                 "                 [--fault crash|hang|truncate|corrupt|"

@@ -1,6 +1,8 @@
 #!/usr/bin/env sh
 # Full per-PR gate: the tier-1 suite (default preset), a grep that keeps
-# Dataset::TotalRecords off the engines' run paths, the sanitized builds —
+# Dataset::TotalRecords off the engines' run paths, a grep that keeps thread
+# creation out of src/runtime/ (every parallel stage goes through RunWorkers
+# in src/common/thread_pool.h), the sanitized builds —
 # fault-injection / wire-hardening / degradation / shuffle suites under
 # ASan+UBSan, and the threaded-engine / shuffle / spill / morsel suites under
 # TSan (filters live in CMakePresets.json) — then the smoke-mode
@@ -24,6 +26,15 @@ ctest --preset default -j "${CI_JOBS:-$(nproc)}"
 # thread through Dataset::TotalRecords.
 if grep -n 'TotalRecords(' src/runtime/engine.h src/runtime/process_engine.h; then
   echo "ci.sh: TotalRecords( appears in src/runtime/engine.h or process_engine.h" >&2
+  exit 1
+fi
+
+# --- one fork-join ---------------------------------------------------------------
+# Every parallel stage of a run is one RunWorkers call (docs/scheduling.md),
+# which joins all its threads before it returns or rethrows: no stage may
+# start threads of its own or bring back a task pool.
+if grep -rnE 'ThreadPool|RunParallel|std::j?thread' src/runtime/; then
+  echo "ci.sh: ThreadPool, RunParallel or std::thread appears in src/runtime/" >&2
   exit 1
 fi
 

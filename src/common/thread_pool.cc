@@ -1,73 +1,44 @@
 #include "common/thread_pool.h"
 
-#include <utility>
+#include <algorithm>
+#include <exception>
+#include <string>
+#include <thread>
+
+#include "common/error.h"
 
 namespace symple {
 
-ThreadPool::ThreadPool(size_t num_threads) {
-  if (num_threads == 0) {
-    num_threads = 1;
-  }
-  workers_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    shutting_down_ = true;
-  }
-  work_available_.notify_all();
-  for (std::thread& w : workers_) {
-    w.join();
-  }
-}
-
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    queue_.push_back(std::move(task));
-    ++in_flight_;
-  }
-  work_available_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  all_idle_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
-void ThreadPool::WorkerLoop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_available_.wait(
-          lock, [this] { return shutting_down_ || !queue_.empty(); });
-      if (queue_.empty()) {
-        return;  // shutting down and drained
-      }
-      task = std::move(queue_.front());
-      queue_.pop_front();
+void RunWorkers(size_t width, std::string_view stage,
+                const std::function<void(size_t)>& worker) {
+  width = std::max<size_t>(width, 1);
+  std::vector<std::exception_ptr> errors(width);
+  const auto run = [&worker, &errors](size_t w) {
+    try {
+      worker(w);
+    } catch (...) {
+      errors[w] = std::current_exception();
     }
-    task();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (--in_flight_ == 0) {
-        all_idle_.notify_all();
+  };
+  {
+    // A jthread joins when destroyed, so every started worker is joined even
+    // when a later spawn throws.
+    std::vector<std::jthread> threads;
+    threads.reserve(width - 1);
+    for (size_t w = 1; w < width; ++w) {
+      threads.emplace_back(run, w);
+    }
+    run(0);
+  }
+  for (const std::exception_ptr& error : errors) {
+    if (error != nullptr) {
+      try {
+        std::rethrow_exception(error);
+      } catch (const SympleError& e) {
+        throw SympleIoError(std::string(stage) + " failed: " + e.what());
       }
     }
   }
-}
-
-void RunParallel(size_t num_threads, std::vector<std::function<void()>> tasks) {
-  ThreadPool pool(num_threads);
-  for (auto& task : tasks) {
-    pool.Submit(std::move(task));
-  }
-  pool.Wait();
 }
 
 StealingIndexQueues::StealingIndexQueues(size_t num_queues) {

@@ -1,61 +1,51 @@
-// Fixed-size worker pool used to run simulated mapper/reducer tasks.
+// Fork-join and work-claiming primitives for the runtime's parallel stages.
 //
-// The runtime substrate (src/runtime) models each Hadoop map task as one unit
-// of work submitted to this pool; the pool size plays the role of the number
-// of machines/cores available (Section 6.2's "1/2/4 mappers" axis).
+// Each parallel stage of a run (src/runtime/engine.h) — the input index, the
+// morsel-driven map, the partition merge and the largest-first reduce — is
+// one RunWorkers call whose width, at most the stage's item count, plays the
+// role of the machines/cores available (Section 6.2's "1/2/4 mappers" axis).
+// Workers claim items from a WorkCursor or, in the map stage, from
+// StealingIndexQueues. No thread outlives its stage, so none is alive when a
+// forked engine calls fork().
 #ifndef SYMPLE_COMMON_THREAD_POOL_H_
 #define SYMPLE_COMMON_THREAD_POOL_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <thread>
+#include <string_view>
 #include <vector>
 
 namespace symple {
 
-class ThreadPool {
+// Runs worker(w) for every w in [0, width) — at least one worker — each on its
+// own thread, the calling thread being worker 0, and returns once every one
+// has returned. Only then does it rethrow what a worker threw: the lowest
+// worker's exception, a SympleError as SympleIoError("<stage> failed: ..."),
+// anything else unchanged. A failing worker therefore never reaches
+// std::terminate, and the stage's other workers finish first.
+void RunWorkers(size_t width, std::string_view stage,
+                const std::function<void(size_t)>& worker);
+
+// A claim counter shared by a stage's workers: Next hands out every index of
+// [0, n) exactly once, in increasing order, then returns false.
+class WorkCursor {
  public:
-  // Spawns `num_threads` workers (at least 1).
-  explicit ThreadPool(size_t num_threads);
+  explicit WorkCursor(size_t n) : n_(n) {}
 
-  // Drains outstanding work, then joins all workers.
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  // Enqueues a task. Tasks must not throw; an escaping exception terminates
-  // the process. Callers that run user code (the map/reduce task bodies in
-  // src/runtime/engine.h) therefore catch SympleError inside the task and
-  // degrade or report the failure through their own result channel.
-  void Submit(std::function<void()> task);
-
-  // Blocks until every submitted task has finished executing.
-  void Wait();
-
-  size_t num_threads() const { return workers_.size(); }
+  bool Next(size_t* index) {
+    *index = next_.fetch_add(1, std::memory_order_relaxed);
+    return *index < n_;
+  }
 
  private:
-  void WorkerLoop();
-
-  std::mutex mu_;
-  std::condition_variable work_available_;
-  std::condition_variable all_idle_;
-  std::deque<std::function<void()>> queue_;
-  size_t in_flight_ = 0;  // queued + currently running tasks
-  bool shutting_down_ = false;
-  std::vector<std::thread> workers_;
+  const size_t n_;
+  std::atomic<size_t> next_{0};
 };
-
-// Convenience: runs `tasks[i]()` for all i on `num_threads` workers and waits
-// for completion.
-void RunParallel(size_t num_threads, std::vector<std::function<void()>> tasks);
 
 // Per-worker deques of work-item indexes with stealing, the substrate of the
 // morsel-driven map scheduler (docs/scheduling.md). Each worker owns one deque

@@ -49,7 +49,6 @@
 #include <cstdint>
 #include <cstring>
 #include <ctime>
-#include <functional>
 #include <iterator>
 #include <limits>
 #include <map>
@@ -83,17 +82,6 @@
 
 namespace symple {
 
-// How a SYMPLE reducer combines a key's ordered summaries (Section 3.6).
-enum class ReduceMode {
-  // Fold each summary onto the concrete state in input order:
-  // Sn(...S3(S2(C1))). One pass, no summary-summary composition.
-  kSequentialFold,
-  // Pairwise tree composition first (function composition is associative),
-  // then a single application. This is the shape a further-parallelized
-  // reduce would use.
-  kTreeCompose,
-};
-
 // Resource budgets bounding symbolic execution per segment (SYMPLE engines
 // only). A "segment" here is one (map chunk, group) sub-stream — the unit the
 // paper's summaries describe and the unit that degrades to concrete replay
@@ -114,22 +102,12 @@ struct EngineOptions {
   // Worker threads executing map tasks (the paper's "mappers" axis in
   // Figure 4). Each dataset segment is one map task regardless.
   size_t map_slots = 4;
-  // Worker threads executing reduce tasks.
-  size_t reduce_slots = 4;
-  // Summary combination strategy at the reducer (SYMPLE engine only).
-  ReduceMode reduce_mode = ReduceMode::kSequentialFold;
-  // Hash partitions for the parallel shuffle: mappers route each packet to
+  // Worker threads executing reduce tasks. The shuffle has one hash
+  // partition per reduce slot (at least one): mappers route each packet to
   // hash(key) % P as they emit, and each partition is sorted independently in
-  // parallel. 0 = auto (one partition per reduce slot). A key's packets always
-  // land in exactly one partition, so the Section 5.4 per-key composition
-  // order is preserved (docs/shuffle.md).
-  size_t reduce_partitions = 0;
-  // Expected distinct groups per map segment: pre-sizes each segment's
-  // FlatGroupMap index (and the sequential engine's global table) so
-  // high-cardinality workloads do not rehash their way up from 16 buckets.
-  // 0 = auto: derived from the record-count hint, capped so low-cardinality
-  // workloads do not over-reserve (internal::ResolveGroupCapacityHint).
-  size_t group_capacity_hint = 0;
+  // parallel. A key's packets always land in exactly one partition, so the
+  // Section 5.4 per-key composition order is preserved (docs/shuffle.md).
+  size_t reduce_slots = 4;
   // Records per map morsel (docs/scheduling.md). Map segments are subdivided
   // into record-aligned morsels pulled from per-worker stealing deques, so a
   // skewed segment layout no longer strands every core behind the largest
@@ -186,10 +164,6 @@ inline obs::RunReport MakeRunReport(const std::string& query,
   report.config = {
       {"map_slots", std::to_string(options.map_slots)},
       {"reduce_slots", std::to_string(options.reduce_slots)},
-      {"reduce_mode",
-       options.reduce_mode == ReduceMode::kSequentialFold ? "fold" : "tree"},
-      {"reduce_partitions", std::to_string(options.reduce_partitions)},
-      {"group_capacity_hint", std::to_string(options.group_capacity_hint)},
       {"morsel_records", std::to_string(options.morsel_records)},
       {"max_live_paths", std::to_string(options.aggregator.max_live_paths)},
       {"max_paths_per_record",
@@ -326,18 +300,14 @@ ShufflePacket<Key> DeserializePacketFrame(BinaryReader& r) {
 
 // --- group-table sizing ---------------------------------------------------------
 
-// Resolves the per-table group capacity hint: an explicit
-// EngineOptions::group_capacity_hint wins; otherwise the record-count hint
-// (records the table will see — per segment for map tables, total for the
-// sequential engine) bounds the group count from above, capped so
-// low-cardinality workloads do not over-reserve index memory.
+// Resolves the per-table group capacity hint: the record-count hint (records
+// the table will see — per segment for map tables, total for the sequential
+// engine) bounds the group count from above, capped so low-cardinality
+// workloads do not over-reserve index memory.
 inline constexpr size_t kDefaultGroupCapacity = 1024;
 inline constexpr size_t kMaxAutoGroupCapacity = 1 << 16;
 
-inline size_t ResolveGroupCapacityHint(size_t option_hint, uint64_t records_hint) {
-  if (option_hint > 0) {
-    return option_hint;
-  }
+inline size_t ResolveGroupCapacityHint(uint64_t records_hint) {
   if (records_hint == 0) {
     return kDefaultGroupCapacity;
   }
@@ -816,15 +786,6 @@ class ShuffleBuffer {
   std::vector<std::unique_ptr<Partition>> parts_;
 };
 
-// Partition count for an options struct: explicit value, or one partition per
-// reduce slot so every reduce worker can sort in parallel.
-inline size_t ResolveReducePartitions(const EngineOptions& options) {
-  if (options.reduce_partitions > 0) {
-    return options.reduce_partitions;
-  }
-  return options.reduce_slots > 0 ? options.reduce_slots : 1;
-}
-
 // SYMPLE packet blobs lead with a kind byte (SegmentResult tag): a segment's
 // packet either carries its ordered symbolic summaries or a DeferredConcrete
 // marker telling the reducer to replay the segment from the raw input.
@@ -855,7 +816,7 @@ inline std::vector<uint8_t> MakeDeferredBlob(uint32_t segment_id,
 // Degrade bookkeeping shared by concurrent map tasks and reduce workers. The
 // RunObserver contract is single-threaded post-quiesce, so events accumulate
 // here under a mutex and FoldDegrades flushes them from the coordinating
-// thread after each phase's pool has quiesced.
+// thread after each stage's workers have joined.
 struct DegradeEvent {
   uint32_t segment_id = 0;
   DegradeReason reason = DegradeReason::kOther;
@@ -886,7 +847,7 @@ struct DegradeAccounting {
 };
 
 // Folds accumulated degrade events into the run's EngineStats and notifies
-// the observer. Must run on the coordinating thread after pool quiesce.
+// the observer. Must run on the coordinating thread after the workers join.
 inline void FoldDegrades(DegradeAccounting& acct, EngineStats* stats,
                          obs::RunObserver* observer) {
   stats->degraded_segments += acct.degraded_segments;
@@ -951,8 +912,8 @@ RunResult<Query> RunSequential(const Dataset& data, const EngineOptions& options
   // never spills: memory_budget_bytes is ignored and the budget only tracks
   // the table's arena + index bytes for peak_tracked_bytes.
   MemoryBudget budget(0);
-  FlatGroupMap<Key, State> states(internal::ResolveGroupCapacityHint(
-      options.group_capacity_hint, data.TotalBytes() / 64));
+  FlatGroupMap<Key, State> states(
+      internal::ResolveGroupCapacityHint(data.TotalBytes() / 64));
   states.SetMemoryBudget(&budget);
   for (const std::string& segment : data.segments) {
     LineCursor cursor(segment);
@@ -1062,8 +1023,8 @@ inline uint64_t CountNewlines(const char* p, size_t n) {
   return count;
 }
 
-// Counts every slice on min(slots, slices) threads that claim slices from
-// one atomic counter; a single slice is counted on the calling thread. A
+// Counts every slice on min(slots, slices) workers that claim slices from
+// one WorkCursor; a single slice is counted on the calling thread. A
 // segment's records are its slices' newlines, plus one if it is non-empty
 // and does not end in '\n' (the LineCursor rule).
 inline InputIndex BuildInputIndex(const std::vector<std::string>& segments,
@@ -1078,22 +1039,16 @@ inline InputIndex BuildInputIndex(const std::vector<std::string>& segments,
       slices.emplace_back(s, i);
     }
   }
-  std::atomic<size_t> next{0};
-  const auto count = [&segments, &slices, &next, &index] {
-    for (size_t k; (k = next.fetch_add(1, std::memory_order_relaxed)) < slices.size();) {
+  WorkCursor cursor(slices.size());
+  RunWorkers(std::min(slots, slices.size()), "index stage", [&](size_t) {
+    for (size_t k; cursor.Next(&k);) {
       const auto [s, i] = slices[k];
       const size_t begin = i * kIndexSliceBytes;
       index.slice_newlines[s][i] = static_cast<uint32_t>(
           CountNewlines(segments[s].data() + begin,
                         std::min(kIndexSliceBytes, segments[s].size() - begin)));
     }
-  };
-  const size_t threads = std::min(slots, slices.size());
-  if (threads > 1) {
-    RunParallel(threads, std::vector<std::function<void()>>(threads, count));
-  } else {
-    count();
-  }
+  });
   index.segment_records.reserve(segments.size());
   for (uint32_t s = 0; s < segments.size(); ++s) {
     const std::vector<uint32_t>& counts = index.slice_newlines[s];
@@ -1269,11 +1224,11 @@ std::vector<ShufflePacket<typename Body::Key>> MapChunk(
 // appends them as a run — the pipelined map→shuffle overlap), so the
 // post-barrier sort is a cheap run merge.
 //
-// Exception safety (the ThreadPool "tasks must not throw" contract): a
-// SympleError escaping MapChunk — e.g. a throwing user Parse — is caught per
-// morsel and the first one is rethrown as a typed SympleIoError from the
-// coordinator after quiesce, mirroring the reduce stage. A body's own
-// per-group degradation happens inside Feed and Emit and never escapes.
+// A SympleError escaping MapChunk — e.g. a throwing user Parse — stops its
+// worker, and RunWorkers rethrows it as a typed "map stage failed"
+// SympleIoError once every worker has joined, like the reduce stage. A
+// body's own per-group degradation happens inside Feed and Emit and never
+// escapes.
 template <typename Body>
 void RunMapPhase(const std::vector<std::string>& segments, const InputIndex& index,
                  const std::vector<uint32_t>& segment_ids, size_t slots,
@@ -1305,63 +1260,42 @@ void RunMapPhase(const std::vector<std::string>& segments, const InputIndex& ind
   for (size_t i = 0; i < morsels.size(); ++i) {
     queues.Push(morsels[i].segment % workers, i);
   }
-  std::mutex map_err_mu;
-  std::string map_error;
   const double obs_map_start = observer != nullptr ? observer->NowUs() : 0;
-  {
-    ThreadPool pool(workers);
-    for (size_t w = 0; w < workers; ++w) {
-      pool.Submit([w, &queues, &morsels, &segments, &seg_aggs, &body, budget,
-                   shuffle, observer, obs_map_start, &map_err_mu, &map_error] {
-        size_t idx = 0;
-        bool stolen = false;
-        while (queues.Next(w, &idx, &stolen)) {
-          const Morsel& m = morsels[idx];
-          const std::string_view chunk =
-              std::string_view(segments[m.segment])
-                  .substr(m.byte_begin, m.byte_end - m.byte_begin);
-          obs::MapTaskObs mts;
-          mts.morsels = 1;
-          mts.stolen_morsels = stolen ? 1 : 0;
-          if (observer != nullptr) {
-            mts.start_us = observer->NowUs();
-            const double wait = mts.start_us - obs_map_start;
-            mts.queue_wait_us.Record(wait > 0 ? static_cast<uint64_t>(wait) : 0);
-          }
-          const double cpu0 = ThreadCpuMs();
-          std::vector<Packet> packets;
-          try {
-            packets = MapChunk(body, chunk, m.segment, m.first_record, &mts, budget,
-                               shuffle);
-          } catch (const SympleError& e) {
-            std::lock_guard<std::mutex> lock(map_err_mu);
-            if (map_error.empty()) {
-              map_error = e.what();
-            }
-          }
-          // += not =: a budget-flushed morsel already accounted its
-          // mid-morsel packets (docs/spill.md).
-          mts.packets += packets.size();
-          // Eager handoff: this morsel's packets enter the shuffle (sorted,
-          // as a run) while other morsels are still mapping.
-          mts.bytes += shuffle->AddBatch(std::move(packets));
-          mts.cpu_ms = ThreadCpuMs() - cpu0;
-          if (observer != nullptr) {
-            mts.end_us = observer->NowUs();
-          }
-          // The segment's span covers its first morsel start to its last
-          // morsel end (morsels of one segment may interleave with steals).
-          SegmentAgg& agg = seg_aggs[m.segment];
-          std::lock_guard<std::mutex> lock(agg.mu);
-          agg.task += mts;
-        }
-      });
+  RunWorkers(workers, "map stage", [&](size_t w) {
+    size_t idx = 0;
+    bool stolen = false;
+    while (queues.Next(w, &idx, &stolen)) {
+      const Morsel& m = morsels[idx];
+      const std::string_view chunk = std::string_view(segments[m.segment])
+                                         .substr(m.byte_begin, m.byte_end - m.byte_begin);
+      obs::MapTaskObs mts;
+      mts.morsels = 1;
+      mts.stolen_morsels = stolen ? 1 : 0;
+      if (observer != nullptr) {
+        mts.start_us = observer->NowUs();
+        const double wait = mts.start_us - obs_map_start;
+        mts.queue_wait_us.Record(wait > 0 ? static_cast<uint64_t>(wait) : 0);
+      }
+      const double cpu0 = ThreadCpuMs();
+      std::vector<Packet> packets =
+          MapChunk(body, chunk, m.segment, m.first_record, &mts, budget, shuffle);
+      // += not =: a budget-flushed morsel already accounted its mid-morsel
+      // packets (docs/spill.md).
+      mts.packets += packets.size();
+      // Eager handoff: this morsel's packets enter the shuffle (sorted, as a
+      // run) while other morsels are still mapping.
+      mts.bytes += shuffle->AddBatch(std::move(packets));
+      mts.cpu_ms = ThreadCpuMs() - cpu0;
+      if (observer != nullptr) {
+        mts.end_us = observer->NowUs();
+      }
+      // The segment's span covers its first morsel start to its last morsel
+      // end (morsels of one segment may interleave with steals).
+      SegmentAgg& agg = seg_aggs[m.segment];
+      std::lock_guard<std::mutex> lock(agg.mu);
+      agg.task += mts;
     }
-    pool.Wait();
-  }
-  if (!map_error.empty()) {
-    throw SympleIoError("map stage failed: " + map_error);
-  }
+  });
   for (const uint32_t m : segment_ids) {
     obs::MapTaskObs& task = seg_aggs[m].task;
     task.mapper_id = m;
@@ -1437,15 +1371,20 @@ std::map<Key, Output> MergeOutputSlots(std::vector<OutputSlots<Key, Output>> par
 //      (key, mapper_id, record_id) — the Section 5.4 order — and its key runs
 //      detected. Because a key's packets live in exactly one partition, each
 //      run is that key's complete, globally ordered packet sequence.
-//   2. Runs are dispatched to `slots` reduce workers largest-run-first (by
-//      serialized bytes) from a shared work queue that idle workers pull
-//      from, so a hot group starts immediately and the tail packs around it
-//      (LPT scheduling) instead of pinning one reducer while the rest idle.
-//      `reduce_key(key, first, last)` returns the key's output, which lands
-//      in that key's output slot without a lock.
-//   3. After the pool quiesces, the coordinating thread frees the buffered
+//   2. Runs are dispatched to min(`slots`, runs) reduce workers
+//      largest-run-first (by serialized bytes) from a shared WorkCursor that
+//      idle workers pull from, so a hot group starts immediately and the tail
+//      packs around it (LPT scheduling) instead of pinning one reducer while
+//      the rest idle. `reduce_key(key, first, last)` returns the key's
+//      output, which lands in that key's output slot without a lock.
+//   3. After the workers join, the coordinating thread frees the buffered
 //      packets and merges the partitions' key-ordered slots into the returned
 //      map (MergeOutputSlots).
+//
+// Both parallel steps are RunWorkers calls, so a SympleError in either —
+// a broken run invariant in the merge, a failed disk merge or a throwing
+// UDA in the reduce — comes back as a "shuffle stage failed" or "reduce
+// stage failed" SympleIoError after every worker has joined.
 //
 // stats->shuffle_wall_ms covers the whole shuffle stage (sorting, run
 // detection, skew accounting), not just the sort; stats->reduce_wall_ms
@@ -1467,39 +1406,35 @@ auto RunShuffleAndReduce(ShuffleBuffer<Key>&& shuffle, size_t slots,
   // but skips run detection: it dispatches as a single spilled KeyRun.
   std::vector<std::vector<KeyRun>> part_runs(num_parts);
   std::vector<OutputSlots<Key, Output>> part_outputs(num_parts);
-  {
-    ThreadPool pool(std::min(slots == 0 ? 1 : slots, num_parts));
-    for (size_t part = 0; part < num_parts; ++part) {
-      pool.Submit([part, &shuffle, &part_runs, &part_outputs] {
-        // Merge the sorted runs the producers appended (pipelined handoff)
-        // rather than re-sorting from scratch.
-        shuffle.SortPartition(part);
-        std::vector<KeyRun>& runs = part_runs[part];
-        if (shuffle.spilled(part)) {
-          KeyRun run;
-          run.partition = static_cast<uint32_t>(part);
-          run.bytes = shuffle.partition_bytes(part);
-          run.spilled = true;
-          runs.push_back(run);
-          return;
+  WorkCursor next_part(num_parts);
+  RunWorkers(std::min(slots, num_parts), "shuffle stage", [&](size_t) {
+    for (size_t part; next_part.Next(&part);) {
+      // Merge the sorted runs the producers appended (pipelined handoff)
+      // rather than re-sorting from scratch.
+      shuffle.SortPartition(part);
+      std::vector<KeyRun>& runs = part_runs[part];
+      if (shuffle.spilled(part)) {
+        KeyRun run;
+        run.partition = static_cast<uint32_t>(part);
+        run.bytes = shuffle.partition_bytes(part);
+        run.spilled = true;
+        runs.push_back(run);
+        continue;
+      }
+      const std::vector<Packet>& packets = shuffle.partition(part);
+      for (size_t i = 0; i < packets.size();) {
+        size_t j = i + 1;
+        uint64_t run_bytes = PacketBytes(packets[i]);
+        while (j < packets.size() && packets[j].key == packets[i].key) {
+          run_bytes += PacketBytes(packets[j]);
+          ++j;
         }
-        const std::vector<Packet>& packets = shuffle.partition(part);
-        for (size_t i = 0; i < packets.size();) {
-          size_t j = i + 1;
-          uint64_t run_bytes = PacketBytes(packets[i]);
-          while (j < packets.size() && packets[j].key == packets[i].key) {
-            run_bytes += PacketBytes(packets[j]);
-            ++j;
-          }
-          runs.push_back(
-              KeyRun{static_cast<uint32_t>(part), i, j, run_bytes, runs.size()});
-          i = j;
-        }
-        part_outputs[part].resize(runs.size());
-      });
+        runs.push_back(KeyRun{static_cast<uint32_t>(part), i, j, run_bytes, runs.size()});
+        i = j;
+      }
+      part_outputs[part].resize(runs.size());
     }
-    pool.Wait();
-  }
+  });
 
   // Flatten into the global dispatch queue and account partition skew.
   std::vector<KeyRun> runs;
@@ -1533,77 +1468,54 @@ auto RunShuffleAndReduce(ShuffleBuffer<Key>&& shuffle, size_t slots,
 
   const double obs_reduce_start = observer != nullptr ? observer->NowUs() : 0;
   const auto t_reduce = std::chrono::steady_clock::now();
-  std::vector<obs::ReduceTaskObs> task_stats(slots == 0 ? 1 : slots);
-  std::atomic<size_t> next_run{0};
-  // ThreadPool tasks must not leak exceptions: a failed disk merge is
-  // captured here and rethrown from the coordinator after quiesce. (Spill
-  // files are verified at write time, so this is a true I/O failure between
-  // write and reduce, not silent corruption.)
-  std::mutex merge_err_mu;
-  std::string merge_error;
-  {
-    ThreadPool pool(task_stats.size());
-    for (size_t r = 0; r < task_stats.size(); ++r) {
-      pool.Submit([r, obs_reduce_start, &next_run, &runs, &shuffle, &reduce_key,
-                   &part_outputs, &task_stats, observer, &merge_err_mu, &merge_error] {
-        obs::ReduceTaskObs& ts = task_stats[r];
-        ts.reducer_id = static_cast<uint32_t>(r);
-        if (observer != nullptr) {
-          ts.start_us = observer->NowUs();
-        }
-        const double cpu0 = ThreadCpuMs();
-        const auto process = [&](const KeyRun& run) {
-          if (observer != nullptr) {
-            // Time this run spent queued before a worker picked it up.
-            const double wait = observer->NowUs() - obs_reduce_start;
-            ts.queue_wait_us.Record(wait > 0 ? static_cast<uint64_t>(wait) : 0);
-          }
-          OutputSlots<Key, Output>& out = part_outputs[run.partition];
-          if (run.spilled) {
-            // Stream the partition's disk runs merged with its sorted
-            // in-memory remainder; each key surfaces exactly once, in the
-            // same global order the in-memory path would produce.
-            const auto t_merge = std::chrono::steady_clock::now();
-            shuffle.MergePartition(run.partition, [&](const Key& key, const Packet* kf,
-                                                      const Packet* kl) {
-              out.emplace_back(std::in_place, key, reduce_key(key, kf, kl));
-              ++ts.groups;
-              ts.packets += static_cast<uint64_t>(kl - kf);
-            });
-            ts.spill_merge_ms += MsSince(t_merge);
-          } else {
-            const Packet* packets = shuffle.partition(run.partition).data();
-            const Key& key = packets[run.first].key;
-            out[run.slot].emplace(key, reduce_key(key, packets + run.first,
-                                                  packets + run.last));
-            ++ts.groups;
-            ts.packets += run.last - run.first;
-          }
-          ts.bytes += run.bytes;
-          ts.max_run_bytes = std::max(ts.max_run_bytes, run.bytes);
-        };
-        try {
-          for (size_t k = next_run.fetch_add(1, std::memory_order_relaxed);
-               k < runs.size(); k = next_run.fetch_add(1, std::memory_order_relaxed)) {
-            process(runs[k]);
-          }
-        } catch (const SympleError& e) {
-          std::lock_guard<std::mutex> lock(merge_err_mu);
-          if (merge_error.empty()) {
-            merge_error = e.what();
-          }
-        }
-        ts.cpu_ms = ThreadCpuMs() - cpu0;
-        if (observer != nullptr) {
-          ts.end_us = observer->NowUs();
-        }
-      });
+  std::vector<obs::ReduceTaskObs> task_stats(
+      std::max<size_t>(1, std::min(slots, runs.size())));
+  WorkCursor next_run(runs.size());
+  RunWorkers(task_stats.size(), "reduce stage", [&](size_t r) {
+    obs::ReduceTaskObs& ts = task_stats[r];
+    ts.reducer_id = static_cast<uint32_t>(r);
+    if (observer != nullptr) {
+      ts.start_us = observer->NowUs();
     }
-    pool.Wait();
-  }
-  if (!merge_error.empty()) {
-    throw SympleIoError("reduce stage failed: " + merge_error);
-  }
+    const double cpu0 = ThreadCpuMs();
+    for (size_t k; next_run.Next(&k);) {
+      const KeyRun& run = runs[k];
+      if (observer != nullptr) {
+        // Time this run spent queued before a worker picked it up.
+        const double wait = observer->NowUs() - obs_reduce_start;
+        ts.queue_wait_us.Record(wait > 0 ? static_cast<uint64_t>(wait) : 0);
+      }
+      OutputSlots<Key, Output>& out = part_outputs[run.partition];
+      if (run.spilled) {
+        // Stream the partition's disk runs merged with its sorted in-memory
+        // remainder; each key surfaces exactly once, in the same global
+        // order the in-memory path would produce. (Spill files are verified
+        // at write time, so a failure here is a true I/O failure between
+        // write and reduce, not silent corruption.)
+        const auto t_merge = std::chrono::steady_clock::now();
+        shuffle.MergePartition(run.partition, [&](const Key& key, const Packet* kf,
+                                                  const Packet* kl) {
+          out.emplace_back(std::in_place, key, reduce_key(key, kf, kl));
+          ++ts.groups;
+          ts.packets += static_cast<uint64_t>(kl - kf);
+        });
+        ts.spill_merge_ms += MsSince(t_merge);
+      } else {
+        const Packet* packets = shuffle.partition(run.partition).data();
+        const Key& key = packets[run.first].key;
+        out[run.slot].emplace(key,
+                              reduce_key(key, packets + run.first, packets + run.last));
+        ++ts.groups;
+        ts.packets += run.last - run.first;
+      }
+      ts.bytes += run.bytes;
+      ts.max_run_bytes = std::max(ts.max_run_bytes, run.bytes);
+    }
+    ts.cpu_ms = ThreadCpuMs() - cpu0;
+    if (observer != nullptr) {
+      ts.end_us = observer->NowUs();
+    }
+  });
   if (observer != nullptr) {
     // A spilled partition's key runs are known only once its merge has
     // appended their slots, so every partition reports after the reduce.
@@ -1670,8 +1582,7 @@ uint64_t ReplaySegmentForKey(const Dataset& data, uint32_t segment_id,
 // replays that segment concretely from the prefix state instead of aborting
 // the query: SummariesBody's reduce.
 template <typename Query>
-void SympleReduceKey(const Dataset& data, ReduceMode mode,
-                     const typename Query::Key& key,
+void SympleReduceKey(const Dataset& data, const typename Query::Key& key,
                      const ShufflePacket<typename Query::Key>* first,
                      const ShufflePacket<typename Query::Key>* last,
                      typename Query::State& state, DegradeAccounting* acct) {
@@ -1746,30 +1657,15 @@ void SympleReduceKey(const Dataset& data, ReduceMode mode,
       if (n == 0 || n > r.remaining()) {
         throw SympleWireError("implausible summary count in segment blob");
       }
-      if (mode == ReduceMode::kTreeCompose && n > 1) {
-        std::vector<Summary<State>> ordered;
-        ordered.reserve(n);
-        for (uint64_t i = 0; i < n; ++i) {
-          Summary<State> s;
-          s.Deserialize(r);
-          ordered.push_back(std::move(s));
-        }
-        if (!r.AtEnd()) {
-          throw SympleWireError("trailing bytes after segment summaries");
-        }
-        // Composing within the packet and folding packet-by-packet is
-        // identical to a global tree compose (composition is associative)
-        // and keeps degrade blast radius to one segment.
-        ok = ComposeAll(ordered).ApplyTo(state);
-      } else {
-        for (uint64_t i = 0; i < n && ok; ++i) {
-          Summary<State> s;
-          s.Deserialize(r);
-          ok = s.ApplyTo(state);
-        }
-        if (ok && !r.AtEnd()) {
-          throw SympleWireError("trailing bytes after segment summaries");
-        }
+      // Fold each summary onto the state in input order, Sn(...S2(S1(C))):
+      // one pass, no summary-summary composition (Section 3.6).
+      for (uint64_t i = 0; i < n && ok; ++i) {
+        Summary<State> s;
+        s.Deserialize(r);
+        ok = s.ApplyTo(state);
+      }
+      if (ok && !r.AtEnd()) {
+        throw SympleWireError("trailing bytes after segment summaries");
       }
       if (!ok) {
         message = "summary rejected the prefix state";
@@ -1854,10 +1750,9 @@ struct RowsBody {
 // Map body for SYMPLE: groupby + symbolic UDA in one streaming pass — each
 // parsed record feeds straight into its group's symbolic aggregator; one
 // packet per (mapper, key) holds that mapper's ordered symbolic summaries for
-// the key. The reducer combines them in (mapper_id, record_id) order, folding
-// onto the concrete initial state or by associative tree composition
-// (Section 3.6); deferred or invalid segments replay concretely from the
-// prefix state (docs/degradation.md).
+// the key. The reducer folds them onto the concrete initial state in
+// (mapper_id, record_id) order (Section 3.6); deferred or invalid segments
+// replay concretely from the prefix state (docs/degradation.md).
 //
 // Degradation is per group: a group whose symbolic execution hits a budget
 // or a declared limitation emits a DeferredConcrete marker from its first
@@ -1961,7 +1856,7 @@ struct SummariesBody {
 
   void Reduce(const Key& key, const Packet* first, const Packet* last,
               State& state, DegradeAccounting* acct) const {
-    SympleReduceKey<Query>(data, options.reduce_mode, key, first, last, state, acct);
+    SympleReduceKey<Query>(data, key, first, last, state, acct);
   }
 };
 
@@ -2008,11 +1903,10 @@ RunResult<Query> RunPipeline(const Dataset& data, const EngineOptions& options) 
   // Per-segment group capacity from the record-count hint, so tables start
   // sized instead of rehashing up from 16.
   const size_t seg_hint = ResolveGroupCapacityHint(
-      options.group_capacity_hint,
       data.segment_count() > 0 ? index.total_records / data.segment_count() : 0);
   const Body body{data, options, seg_hint};
   MemoryBudget budget(options.memory_budget_bytes);
-  ShuffleBuffer<Key> shuffle(ResolveReducePartitions(options),
+  ShuffleBuffer<Key> shuffle(std::max<size_t>(options.reduce_slots, 1),
                              data.segment_count() * std::min<size_t>(seg_hint, 4096),
                              &budget, options.spill_dir);
   Executor::RunMap(data, options, index, body, &budget, &shuffle, &result.stats);

@@ -1,13 +1,21 @@
-// Unit tests for the common substrate: datetime, text parsing, thread pool,
-// and the deterministic RNG.
+// Unit tests for the common substrate: datetime, text parsing, the fork-join
+// workers, and the deterministic RNG.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <filesystem>
+#include <iterator>
+#include <latch>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/datetime.h"
+#include "common/error.h"
 #include "common/rng.h"
 #include "common/text.h"
 #include "common/thread_pool.h"
@@ -148,59 +156,99 @@ TEST(Rng, MixSeedDecorrelatesStreams) {
   EXPECT_EQ(MixSeed(1, 0), MixSeed(1, 0));
 }
 
-// --- thread pool -------------------------------------------------------------------
+// --- fork-join workers ------------------------------------------------------------
 
-TEST(ThreadPoolTest, ExecutesAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 1000; ++i) {
-    pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 1000);
-}
-
-TEST(ThreadPoolTest, WaitIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.Submit([&count] { count.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 1);
-  pool.Submit([&count] { count.fetch_add(1); });
-  pool.Submit([&count] { count.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 3);
-}
-
-TEST(ThreadPoolTest, ZeroThreadsClampedToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 1u);
-  std::atomic<bool> ran{false};
-  pool.Submit([&ran] { ran = true; });
-  pool.Wait();
-  EXPECT_TRUE(ran.load());
-}
-
-TEST(ThreadPoolTest, RunParallelHelper) {
-  std::atomic<int> sum{0};
-  std::vector<std::function<void()>> tasks;
-  for (int i = 1; i <= 10; ++i) {
-    tasks.push_back([&sum, i] { sum.fetch_add(i); });
-  }
-  RunParallel(3, std::move(tasks));
-  EXPECT_EQ(sum.load(), 55);
-}
-
-TEST(ThreadPoolTest, DestructorDrainsOutstandingWork) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 100; ++i) {
-      pool.Submit([&count] { count.fetch_add(1); });
+TEST(RunWorkers, ClaimsEveryIndexOnce) {
+  for (const size_t width : {0, 1, 3, 8}) {
+    for (const size_t n : {0, 1, 5, 1000}) {
+      WorkCursor cursor(n);
+      std::vector<std::atomic<int>> claims(n);
+      std::vector<std::atomic<int>> runs(std::max<size_t>(width, 1));
+      std::thread::id worker0;
+      RunWorkers(width, "test stage", [&](size_t w) {
+        ++runs[w];
+        if (w == 0) {
+          worker0 = std::this_thread::get_id();
+        }
+        for (size_t i; cursor.Next(&i);) {
+          ++claims[i];
+        }
+      });
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(claims[i].load(), 1) << "width " << width << " n " << n << " i " << i;
+      }
+      for (size_t w = 0; w < runs.size(); ++w) {
+        EXPECT_EQ(runs[w].load(), 1) << "width " << width << " worker " << w;
+      }
+      EXPECT_EQ(worker0, std::this_thread::get_id()) << "worker 0 runs on the caller";
     }
-    // No Wait(): destructor must still run everything.
   }
-  EXPECT_EQ(count.load(), 100);
+}
+
+TEST(RunWorkers, RethrowsOnlyAfterEveryWorkerReturns) {
+  std::vector<std::atomic<bool>> finished(4);
+  const auto run = [&finished](size_t w) {
+    if (w == 2) {
+      throw SympleError("worker 2 failed");
+    }
+    if (w == 3) {
+      throw SympleError("worker 3 failed");
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    finished[w] = true;
+  };
+  try {
+    RunWorkers(finished.size(), "test stage", run);
+    ADD_FAILURE() << "a worker's SympleError was swallowed";
+  } catch (const SympleIoError& e) {
+    // The lowest failing worker's error, with the stage prefix.
+    EXPECT_STREQ(e.what(), "test stage failed: worker 2 failed");
+  }
+  for (const size_t w : {0, 1}) {
+    EXPECT_TRUE(finished[w]) << "worker " << w << " was still running at the rethrow";
+  }
+  // Any other exception comes back unchanged.
+  EXPECT_THROW(RunWorkers(3, "test stage",
+                          [](size_t w) {
+                            if (w == 1) {
+                              throw std::out_of_range("not a SympleError");
+                            }
+                          }),
+               std::out_of_range);
+}
+
+size_t ThreadsInProcess() {
+  return static_cast<size_t>(
+      std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                    std::filesystem::directory_iterator()));
+}
+
+TEST(RunWorkers, JoinsEveryThreadBeforeReturning) {
+  // A sanitizer runtime may start a helper thread along with the process's
+  // first thread, so the count starts after one stage has run.
+  RunWorkers(2, "test stage", [](size_t) {});
+  const size_t before = ThreadsInProcess();
+  for (const size_t width : {1, 8}) {
+    // Worker 0 counts once every worker has started, and none returns
+    // before it has counted.
+    std::latch started(static_cast<ptrdiff_t>(width));
+    std::latch counted(1);
+    size_t during = 0;
+    RunWorkers(width, "test stage", [&](size_t w) {
+      started.arrive_and_wait();
+      if (w == 0) {
+        during = ThreadsInProcess();
+        counted.count_down();
+      }
+      counted.wait();
+    });
+    EXPECT_EQ(during, before + width - 1) << "width " << width;
+    EXPECT_EQ(ThreadsInProcess(), before) << "width " << width;
+  }
+  // A failed stage joins its threads too.
+  EXPECT_THROW(RunWorkers(4, "test stage", [](size_t) { throw SympleError("boom"); }),
+               SympleIoError);
+  EXPECT_EQ(ThreadsInProcess(), before);
 }
 
 }  // namespace

@@ -280,11 +280,6 @@ TEST(Degradation, ForceDegradeIsByteIdenticalInProcess) {
       sym.stats.degraded_segments);
   // Every parsed record was re-executed concretely at the reducer.
   EXPECT_EQ(sym.stats.replayed_records, sym.stats.parsed_records);
-
-  // Tree-compose reduce takes the same replay path.
-  options.reduce_mode = ReduceMode::kTreeCompose;
-  const auto tree = RunSymple<LedgerQuery>(data, options);
-  EXPECT_TRUE(tree.outputs == seq.outputs);
 }
 
 TEST(Degradation, ForceDegradeIsByteIdenticalForked) {

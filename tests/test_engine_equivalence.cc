@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "queries/all_queries.h"
 #include "runtime/engine.h"
+#include "tree_compose.h"
 #include "workloads/bing_gen.h"
 #include "workloads/github_gen.h"
 #include "workloads/gps_gen.h"
@@ -158,25 +159,23 @@ TEST(EngineEquivalenceRestart, TightLivePathBound) {
   ExpectAllEnginesAgree<B3UserSessions>(SmallBing(7), options);
 }
 
-// Tree composition at the reducer (Section 3.6: function composition is
-// associative) must produce identical results to sequential folding.
+// Tree composition of each key's map-side summaries (Section 3.6: function
+// composition is associative) must produce the sequential results the
+// reducer's in-order fold does.
 TEST(EngineEquivalenceTreeReduce, TreeComposeMatchesFold) {
-  EngineOptions tree;
-  tree.reduce_mode = ReduceMode::kTreeCompose;
-  ExpectAllEnginesAgree<G3PullWindowOps>(SmallGithub(8), tree);
-  ExpectAllEnginesAgree<B1GlobalOutages>(SmallBing(8), tree);
-  ExpectAllEnginesAgree<R4CampaignRuns>(SmallRedshift(8, true), tree);
-  ExpectAllEnginesAgree<T1SpamLearning>(SmallTwitter(8), tree);
-  ExpectAllEnginesAgree<GpsSessionQuery>(SmallGps(8), tree);
+  ExpectTreeComposeMatchesSequential<G3PullWindowOps>(SmallGithub(8));
+  ExpectTreeComposeMatchesSequential<B1GlobalOutages>(SmallBing(8));
+  ExpectTreeComposeMatchesSequential<R4CampaignRuns>(SmallRedshift(8, true));
+  ExpectTreeComposeMatchesSequential<T1SpamLearning>(SmallTwitter(8));
+  ExpectTreeComposeMatchesSequential<GpsSessionQuery>(SmallGps(8));
 }
 
 // Tree composition combined with forced restarts (many summaries per chunk).
 TEST(EngineEquivalenceTreeReduce, TreeComposeWithRestarts) {
-  EngineOptions tree;
-  tree.reduce_mode = ReduceMode::kTreeCompose;
-  tree.aggregator.max_live_paths = 2;
-  ExpectAllEnginesAgree<B3UserSessions>(SmallBing(6), tree);
-  ExpectAllEnginesAgree<FunnelQuery>(SmallWebshop(6), tree);
+  EngineOptions restarts;
+  restarts.aggregator.max_live_paths = 2;
+  ExpectTreeComposeMatchesSequential<B3UserSessions>(SmallBing(6), restarts);
+  ExpectTreeComposeMatchesSequential<FunnelQuery>(SmallWebshop(6), restarts);
 }
 
 // Merging off must not change results, only path counts (ablation soundness).

@@ -1,8 +1,8 @@
 // Tests for the morsel-driven map scheduler (docs/scheduling.md): the input
 // index and the record-aligned cut made from it, the stealing deques,
 // byte-identical engine output at extreme morsel sizes, zero-record edge
-// cases, and the ThreadPool exception-containment contract (a throwing UDA
-// degrades or surfaces as a typed error — it never std::terminates the
+// cases, and exception containment in the map and reduce stages (a throwing
+// UDA degrades or surfaces as a typed error — it never std::terminates the
 // process).
 #include <gtest/gtest.h>
 
@@ -509,7 +509,7 @@ TEST(MorselEdge, MoreSlotsThanRecords) {
   EXPECT_TRUE(seq.outputs == mr.outputs);
 }
 
-// --- throwing UDAs: the ThreadPool "tasks must not throw" contract -----------
+// --- throwing UDAs: typed stage errors, never std::terminate ------------------
 
 // A ledger query ("account<TAB>amount" lines) whose hooks can be rigged to
 // throw, built on the LambdaQuery adapter.

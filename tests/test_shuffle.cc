@@ -276,6 +276,23 @@ TEST(ShuffleSchedule, EmptyShuffleReportsZeroSkew) {
   EXPECT_EQ(stats.partition_skew, 0.0);
 }
 
+// A broken shuffle invariant in the parallel partition merge must come back
+// as a typed shuffle-stage error after every merge worker has joined, never
+// escape a worker thread.
+TEST(ShuffleSchedule, MergeFailureSurfacesTyped) {
+  ShuffleBuffer<int64_t> shuffle(4);
+  shuffle.AddBatch({MakePacket<int64_t>(1, 0, 0, 4)});
+  // A packet outside every recorded run: SortPartition's run merge rejects it.
+  shuffle.partition(2).push_back(MakePacket<int64_t>(2, 0, 0, 4));
+  EngineStats stats;
+  try {
+    ReduceToPacketOrder(std::move(shuffle), 3, &stats);
+    ADD_FAILURE() << "the merge accepted a packet outside its recorded runs";
+  } catch (const SympleIoError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("shuffle stage failed: ", 0), 0u) << e.what();
+  }
+}
+
 // The output merge interleaves partitions by key and rejects a key that
 // arrives twice (from two partitions or twice from one), a partition out of
 // key order, and a slot no reduce worker filled.
@@ -336,9 +353,10 @@ TEST(ShuffleEdge, SingleRecordAllEngines) {
   EXPECT_EQ(sym.stats.groups, 1u);
 }
 
-// Partition-count sweeps must stay byte-identical to sequential, including
-// with degraded segments crossing partitions (force_degrade sends every key
-// run down the concrete-replay path).
+// Partition-count sweeps (one partition per reduce slot) must stay
+// byte-identical to sequential, including with degraded segments crossing
+// partitions (force_degrade sends every key run down the concrete-replay
+// path).
 TEST(ShuffleEquivalence, PartitionAndScheduleSweep) {
   GithubGenParams p;
   p.num_records = 4000;
@@ -349,7 +367,7 @@ TEST(ShuffleEquivalence, PartitionAndScheduleSweep) {
   const auto seq = RunSequential<G3PullWindowOps>(data);
   for (const size_t parts : {size_t{1}, size_t{3}, size_t{8}}) {
     EngineOptions options;
-    options.reduce_partitions = parts;
+    options.reduce_slots = parts;
     const auto mr = RunBaselineMapReduce<G3PullWindowOps>(data, options);
     const auto sym = RunSymple<G3PullWindowOps>(data, options);
     EXPECT_TRUE(mr.outputs == seq.outputs) << "baseline parts=" << parts;
@@ -368,7 +386,7 @@ TEST(ShuffleEquivalence, DegradedSegmentsAcrossPartitions) {
   const auto seq = RunSequential<B3UserSessions>(data);
   for (const size_t parts : {size_t{1}, size_t{4}, size_t{9}}) {
     EngineOptions options;
-    options.reduce_partitions = parts;
+    options.reduce_slots = parts;
     options.budgets.force_degrade = true;
     const auto sym = RunSymple<B3UserSessions>(data, options);
     EXPECT_TRUE(sym.outputs == seq.outputs) << "degraded parts=" << parts;
@@ -385,7 +403,7 @@ TEST(ShuffleEquivalence, ForkedEnginesWithExplicitPartitions) {
   const Dataset data = GenerateGithubLog(p);
   const auto seq = RunSequential<G1OnlyPushes>(data);
   EngineOptions options;
-  options.reduce_partitions = 3;
+  options.reduce_slots = 3;
   const auto sym = RunSympleForked<G1OnlyPushes>(data, options);
   const auto mr = RunBaselineForked<G1OnlyPushes>(data, options);
   EXPECT_TRUE(sym.outputs == seq.outputs);

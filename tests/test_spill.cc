@@ -504,8 +504,7 @@ TEST(Spill, DeferredMarkerReplaysFromItsStartRecord) {
                                            "state could not spill", 1);
   internal::DegradeAccounting acct;
   LedgerState state{};
-  internal::SympleReduceKey<LedgerQuery>(data, ReduceMode::kSequentialFold, 1,
-                                         &marker, &marker + 1, state, &acct);
+  internal::SympleReduceKey<LedgerQuery>(data, 1, &marker, &marker + 1, state, &acct);
   // Records 1 and 2 only: -3 + 7; one positive amount.
   EXPECT_EQ(state.total.Value(), 4);
   EXPECT_EQ(state.deposits.Value(), 1);

@@ -4,6 +4,7 @@
 
 #include "queries/all_queries.h"
 #include "runtime/engine.h"
+#include "tree_compose.h"
 #include "workloads/bing_gen.h"
 #include "workloads/github_gen.h"
 #include "workloads/webshop_gen.h"
@@ -58,12 +59,7 @@ TEST(Stress, TreeComposeAtScale) {
   p.num_records = 60000;
   p.num_segments = 64;
   p.num_users = 20;
-  const Dataset ds = GenerateBingLog(p);
-  EngineOptions tree;
-  tree.reduce_mode = ReduceMode::kTreeCompose;
-  const auto seq = RunSequential<B3UserSessions>(ds);
-  const auto sym = RunSymple<B3UserSessions>(ds, tree);
-  EXPECT_TRUE(sym.outputs == seq.outputs);
+  ExpectTreeComposeMatchesSequential<B3UserSessions>(GenerateBingLog(p));
 }
 
 }  // namespace

@@ -448,7 +448,7 @@ TEST(WireHardening, SegmentBlobSurvivesEverySingleBitFlip) {
       internal::DegradeAccounting acct;
       LedgerState state{};
       ASSERT_NO_THROW(internal::SympleReduceKey<LedgerQuery>(
-          g.data, ReduceMode::kSequentialFold, 1, &pkt, &pkt + 1, state, &acct))
+          g.data, 1, &pkt, &pkt + 1, state, &acct))
           << "byte " << i << " bit " << bit;
       if (acct.degraded_segments > 0) {
         ++degraded;
@@ -481,7 +481,7 @@ TEST(WireHardening, DeferredMarkerSurvivesEverySingleBitFlip) {
       internal::DegradeAccounting acct;
       LedgerState state{};
       ASSERT_NO_THROW(internal::SympleReduceKey<LedgerQuery>(
-          g.data, ReduceMode::kSequentialFold, 1, &pkt, &pkt + 1, state, &acct))
+          g.data, 1, &pkt, &pkt + 1, state, &acct))
           << "byte " << i << " bit " << bit;
       EXPECT_EQ(acct.degraded_segments, 1u);
       EXPECT_EQ(state.total.Value(), 9);
@@ -498,7 +498,7 @@ TEST(WireHardening, TruncatedSegmentBlobDegrades) {
     internal::DegradeAccounting acct;
     LedgerState state{};
     ASSERT_NO_THROW(internal::SympleReduceKey<LedgerQuery>(
-        g.data, ReduceMode::kSequentialFold, 1, &pkt, &pkt + 1, state, &acct))
+        g.data, 1, &pkt, &pkt + 1, state, &acct))
         << "len " << len;
     EXPECT_EQ(acct.degraded_segments, 1u) << "len " << len;
     EXPECT_EQ(state.total.Value(), 9);
